@@ -1334,7 +1334,7 @@ pub fn top(args: &Args) -> Result<(), ArgError> {
 /// distributed across a generated super-peer network.
 pub fn csv_query(args: &Args) -> Result<(), ArgError> {
     use skypeer_core::node::{InitQuery, SuperPeerNode};
-    use skypeer_core::preprocess::SuperPeerStore;
+    use skypeer_core::preprocess::preprocess_network;
     use skypeer_data::csv::{invert_column, read_points, CsvOptions};
     use skypeer_data::partition::partition_shuffled;
     use skypeer_netsim::des::Sim;
@@ -1390,14 +1390,14 @@ pub fn csv_query(args: &Args) -> Result<(), ArgError> {
     topo_spec.avg_degree = degree.min(n_superpeers.saturating_sub(1) as f64);
     let topo = topo_spec.generate();
     let parts = partition_shuffled(&set, n_superpeers * peers_per_sp, seed);
-    let dim = set.dim();
-    let stores: Vec<Arc<skypeer_skyline::SortedDataset>> = (0..n_superpeers)
-        .map(|sp| {
-            let mine: Vec<_> = parts[sp * peers_per_sp..(sp + 1) * peers_per_sp].to_vec();
-            Arc::new(SuperPeerStore::preprocess(&mine, dim, DominanceIndex::RTree).store)
-        })
-        .collect();
-    let stored: usize = stores.iter().map(|s| s.len()).sum();
+    let peer_home: Vec<usize> = (0..parts.len()).map(|p| p / peers_per_sp).collect();
+    let (stores, report) =
+        preprocess_network(&peer_home, n_superpeers, set.dim(), DominanceIndex::RTree, |p| {
+            &parts[p]
+        });
+    let stores: Vec<Arc<skypeer_skyline::SortedDataset>> =
+        stores.into_iter().map(|s| Arc::new(s.store)).collect();
+    let stored = report.stored_points;
     println!(
         "distributed over {n_superpeers} super-peers × {peers_per_sp} peers; {stored} points stored after preprocessing ({:.1}%)",
         100.0 * stored as f64 / set.len() as f64

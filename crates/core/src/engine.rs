@@ -224,7 +224,8 @@ pub struct SkypeerEngine {
 }
 
 impl SkypeerEngine {
-    /// Generates topology and data and runs the preprocessing phase.
+    /// Generates topology and data and runs the preprocessing phase (in
+    /// parallel across super-peers; see [`preprocess_network`]).
     ///
     /// # Panics
     ///
@@ -238,14 +239,14 @@ impl SkypeerEngine {
         );
         let topology = config.topology.generate();
         let peer_home = topology.assign_peers(config.n_peers);
-        let peer_sets: Vec<_> =
-            (0..config.n_peers).map(|p| config.dataset.generate_peer(p, peer_home[p])).collect();
+        // Each peer's data is generated inside the preprocessing worker
+        // that consumes it, so the raw network is never held at once.
         let (stores, preprocess) = preprocess_network(
-            &peer_sets,
             &peer_home,
             config.n_superpeers,
             config.dataset.dim,
             config.index,
+            |p| config.dataset.generate_peer(p, peer_home[p]),
         );
         SkypeerEngine {
             config,

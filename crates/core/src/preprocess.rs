@@ -9,6 +9,15 @@
 //!
 //! Peer joins are incremental: a new peer's upload is ext-merged with the
 //! existing store without reprocessing the other peers' lists.
+//!
+//! Super-peers preprocess independently, so [`preprocess_network`] builds
+//! them in parallel, one worker per available core, and obtains each
+//! peer's data inside the worker that needs it. The result does not
+//! depend on the worker count.
+
+use std::borrow::Borrow;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use skypeer_skyline::extended::ext_skyline;
 use skypeer_skyline::merge::merge_sorted;
@@ -59,12 +68,21 @@ impl SuperPeerStore {
     /// Builds the store from the attached peers' local datasets: each peer
     /// computes its ext-skyline (Algorithm 1 with ext-dominance), the
     /// super-peer merges the uploads (Algorithm 2 with ext-dominance).
-    pub fn preprocess(peer_sets: &[PointSet], dim: usize, index: DominanceIndex) -> Self {
-        let mut uploads: Vec<SortedDataset> = Vec::with_capacity(peer_sets.len());
+    ///
+    /// Peers are taken one at a time, in order, and may be borrowed or
+    /// owned: an iterator that generates each peer's data lets that data
+    /// go as soon as its upload is computed.
+    pub fn preprocess<P: Borrow<PointSet>>(
+        peer_sets: impl IntoIterator<Item = P>,
+        dim: usize,
+        index: DominanceIndex,
+    ) -> Self {
+        let mut uploads: Vec<SortedDataset> = Vec::new();
         let mut raw_points = 0usize;
         let mut uploaded_points = 0usize;
         let mut uploaded_bytes = 0u64;
         for set in peer_sets {
+            let set = set.borrow();
             assert_eq!(set.dim(), dim, "peer data dimensionality mismatch");
             raw_points += set.len();
             let up = ext_skyline(set, index).result;
@@ -139,39 +157,87 @@ fn ratio(num: usize, den: usize) -> f64 {
     }
 }
 
-/// Preprocesses a whole network: `peer_sets[p]` is peer `p`'s data and
-/// `peer_home[p]` its super-peer. Returns per-super-peer stores and the
-/// aggregate report.
-pub fn preprocess_network(
-    peer_sets: &[PointSet],
+/// Preprocesses a whole network: peer `p` attaches to super-peer
+/// `peer_home[p]` and holds the data `peer_data(p)`. Returns per-super-peer
+/// stores and the aggregate report.
+///
+/// One worker per available core takes the next super-peer from a shared
+/// counter, fetches its peers' data from `peer_data` in ascending peer
+/// order, ext-skylines and ext-merges it, and drops it. `peer_data` may
+/// borrow data held elsewhere (`|p| &sets[p]`) or generate it on the spot,
+/// so that no more than a few peers' raw data is alive at once. Stores
+/// and report are assembled in super-peer order: the result is
+/// byte-identical for any worker count.
+pub fn preprocess_network<P: Borrow<PointSet>>(
     peer_home: &[usize],
     n_superpeers: usize,
     dim: usize,
     index: DominanceIndex,
+    peer_data: impl Fn(usize) -> P + Sync,
 ) -> (Vec<SuperPeerStore>, PreprocessReport) {
-    assert_eq!(peer_sets.len(), peer_home.len(), "peer/home length mismatch");
-    let mut grouped: Vec<Vec<&PointSet>> = vec![Vec::new(); n_superpeers];
-    for (set, &home) in peer_sets.iter().zip(peer_home) {
+    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    preprocess_network_on(workers, peer_home, n_superpeers, dim, index, peer_data)
+}
+
+/// [`preprocess_network`] on exactly `workers` threads (capped at the
+/// super-peer count).
+pub(crate) fn preprocess_network_on<P: Borrow<PointSet>>(
+    workers: usize,
+    peer_home: &[usize],
+    n_superpeers: usize,
+    dim: usize,
+    index: DominanceIndex,
+    peer_data: impl Fn(usize) -> P + Sync,
+) -> (Vec<SuperPeerStore>, PreprocessReport) {
+    assert!(workers > 0, "preprocessing needs at least one worker");
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_superpeers];
+    for (peer, &home) in peer_home.iter().enumerate() {
         assert!(home < n_superpeers, "peer assigned to unknown super-peer {home}");
-        grouped[home].push(set);
+        members[home].push(peer);
     }
-    let mut stores = Vec::with_capacity(n_superpeers);
+    // The counter only hands out super-peer indices, so `Relaxed` is
+    // enough: the workers share nothing else mutable, and the built stores
+    // come back through `join`.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut built = Vec::new();
+        loop {
+            let sp = next.fetch_add(1, Ordering::Relaxed);
+            let Some(peers) = members.get(sp) else { return built };
+            let data = peers.iter().map(|&peer| peer_data(peer));
+            built.push((sp, SuperPeerStore::preprocess(data, dim, index)));
+        }
+    };
+    let mut slots: Vec<Option<SuperPeerStore>> = (0..n_superpeers).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (0..workers.min(n_superpeers).max(1)).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            let built = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (sp, store) in built {
+                slots[sp] = Some(store);
+            }
+        }
+    });
     let mut report = PreprocessReport::default();
-    for members in &grouped {
-        let owned: Vec<PointSet> = members.iter().map(|s| (*s).clone()).collect();
-        let store = SuperPeerStore::preprocess(&owned, dim, index);
-        report.raw_points += store.raw_points;
-        report.uploaded_points += store.uploaded_points;
-        report.stored_points += store.store.len();
-        report.uploaded_bytes += store.uploaded_bytes;
-        stores.push(store);
-    }
+    let stores: Vec<SuperPeerStore> = slots
+        .into_iter()
+        .map(|slot| {
+            let store = slot.expect("every super-peer is built by one worker");
+            report.raw_points += store.raw_points;
+            report.uploaded_points += store.uploaded_points;
+            report.stored_points += store.store.len();
+            report.uploaded_bytes += store.uploaded_bytes;
+            store
+        })
+        .collect();
     (stores, report)
 }
 
 #[cfg(test)]
 mod unit {
     use super::*;
+    use skypeer_data::{DatasetKind, DatasetSpec};
     use skypeer_skyline::brute;
 
     fn peers() -> Vec<PointSet> {
@@ -264,7 +330,8 @@ mod unit {
     fn empty_network() {
         let sp = SuperPeerStore::preprocess(&[], 3, DominanceIndex::Linear);
         assert!(sp.store.is_empty());
-        let (stores, report) = preprocess_network(&[], &[], 2, 3, DominanceIndex::Linear);
+        let (stores, report) =
+            preprocess_network(&[], 2, 3, DominanceIndex::Linear, |_| PointSet::new(3));
         assert_eq!(stores.len(), 2);
         assert_eq!(report, PreprocessReport::default());
         assert_eq!(report.sel_p(), 0.0);
@@ -274,7 +341,7 @@ mod unit {
     fn network_report_sums_superpeers() {
         let ps = peers();
         let homes = vec![0, 0, 1];
-        let (stores, report) = preprocess_network(&ps, &homes, 2, 4, DominanceIndex::Linear);
+        let (stores, report) = preprocess_network(&homes, 2, 4, DominanceIndex::Linear, |p| &ps[p]);
         assert_eq!(stores.len(), 2);
         assert_eq!(report.raw_points, 15);
         assert_eq!(report.stored_points, stores.iter().map(|s| s.store.len()).sum::<usize>());
@@ -282,11 +349,81 @@ mod unit {
         assert!(report.sel_ratio() <= 1.0);
     }
 
+    /// Every bit of a store as one word string: its report fields, then
+    /// each point's id, coordinate bits and `f` bits, in stored order.
+    fn store_bits(store: &SuperPeerStore) -> Vec<u64> {
+        let mut bits =
+            vec![store.raw_points as u64, store.uploaded_points as u64, store.uploaded_bytes];
+        for i in 0..store.store.len() {
+            bits.push(store.store.points().id(i));
+            bits.extend(store.store.points().point(i).iter().map(|v| v.to_bits()));
+            bits.push(store.store.f(i).to_bits());
+        }
+        bits
+    }
+
+    /// Builds the network on 1, 2 and 5 workers and checks each build
+    /// against the per-super-peer serial build, bit for bit.
+    fn assert_worker_count_invariant(
+        spec: DatasetSpec,
+        index: DominanceIndex,
+        homes: &[usize],
+        n_sp: usize,
+    ) {
+        let sets: Vec<PointSet> =
+            homes.iter().enumerate().map(|(p, &home)| spec.generate_peer(p, home)).collect();
+        let serial: Vec<SuperPeerStore> = (0..n_sp)
+            .map(|sp| {
+                let mine = sets.iter().zip(homes).filter(|(_, &home)| home == sp).map(|(s, _)| s);
+                SuperPeerStore::preprocess(mine, spec.dim, index)
+            })
+            .collect();
+        let want: Vec<_> = serial.iter().map(store_bits).collect();
+        let mut want_report = PreprocessReport::default();
+        for s in &serial {
+            want_report.raw_points += s.raw_points;
+            want_report.uploaded_points += s.uploaded_points;
+            want_report.stored_points += s.store.len();
+            want_report.uploaded_bytes += s.uploaded_bytes;
+        }
+        for workers in [1, 2, 5] {
+            let (stores, report) =
+                preprocess_network_on(workers, homes, n_sp, spec.dim, index, |p| {
+                    spec.generate_peer(p, homes[p])
+                });
+            let got: Vec<_> = stores.iter().map(store_bits).collect();
+            assert_eq!(got, want, "stores differ on {workers} workers");
+            assert_eq!(report, want_report, "report differs on {workers} workers");
+        }
+    }
+
+    #[test]
+    fn parallel_build_is_byte_identical_for_any_worker_count() {
+        // R-tree index on uniform data; super-peer 3 hosts no peer.
+        let uniform =
+            DatasetSpec { dim: 6, points_per_peer: 80, kind: DatasetKind::Uniform, seed: 21 };
+        let homes: Vec<usize> = (0..23).map(|p| [0, 1, 2, 4, 5][p % 5]).collect();
+        assert_worker_count_invariant(uniform, DominanceIndex::RTree, &homes, 6);
+        // Linear index on anticorrelated data (large stores).
+        let anti =
+            DatasetSpec { dim: 4, points_per_peer: 40, kind: DatasetKind::Anticorrelated, seed: 8 };
+        let homes: Vec<usize> = (0..12).map(|p| p % 3).collect();
+        assert_worker_count_invariant(anti, DominanceIndex::Linear, &homes, 3);
+        // More workers (5) than super-peers (2).
+        let clustered = DatasetSpec {
+            dim: 5,
+            points_per_peer: 50,
+            kind: DatasetKind::Clustered { centroids_per_superpeer: 2 },
+            seed: 3,
+        };
+        assert_worker_count_invariant(clustered, DominanceIndex::RTree, &[1, 0, 1, 1, 0, 1], 2);
+    }
+
     #[test]
     fn selectivity_monotonicity() {
         // SEL_sp ≤ SEL_p always (merging can only discard).
         let ps = peers();
-        let (_, report) = preprocess_network(&ps, &[0, 0, 0], 1, 4, DominanceIndex::Linear);
+        let (_, report) = preprocess_network(&[0, 0, 0], 1, 4, DominanceIndex::Linear, |p| &ps[p]);
         assert!(report.sel_sp() <= report.sel_p());
     }
 }

@@ -42,6 +42,29 @@ impl Rect {
         Rect { lo: corner.into(), hi }
     }
 
+    /// [`Rect::from_origin`] in place: re-targets `self` to `[0, corner]`
+    /// without allocating, for callers that run one window query after
+    /// another.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corner.len() != self.dim()`.
+    pub fn set_from_origin(&mut self, corner: &[f64]) {
+        self.lo.fill(0.0);
+        self.hi.copy_from_slice(corner);
+    }
+
+    /// [`Rect::to_infinity`] in place: re-targets `self` to
+    /// `[corner, +inf)` without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corner.len() != self.dim()`.
+    pub fn set_to_infinity(&mut self, corner: &[f64]) {
+        self.lo.copy_from_slice(corner);
+        self.hi.fill(f64::INFINITY);
+    }
+
     /// An "empty" rectangle that is the identity for [`Rect::grow`]:
     /// `lo = +inf`, `hi = -inf` on every axis. Not a valid stored rectangle.
     pub(crate) fn empty(dim: usize) -> Self {
@@ -49,6 +72,30 @@ impl Rect {
             lo: vec![f64::INFINITY; dim].into_boxed_slice(),
             hi: vec![f64::NEG_INFINITY; dim].into_boxed_slice(),
         }
+    }
+
+    /// A zero-dimensional rectangle. It owns no heap storage, so it can
+    /// stand in for a node's MBR while that MBR is recomputed in place.
+    pub(crate) fn placeholder() -> Self {
+        Rect { lo: Box::default(), hi: Box::default() }
+    }
+
+    /// A rectangle with these corners, unchecked: `lo == hi` for a point,
+    /// or the corners of an existing rectangle.
+    pub(crate) fn from_corners(lo: &[f64], hi: &[f64]) -> Self {
+        Rect { lo: lo.into(), hi: hi.into() }
+    }
+
+    /// Resets `self` in place to [`Rect::empty`].
+    pub(crate) fn clear(&mut self) {
+        self.lo.fill(f64::INFINITY);
+        self.hi.fill(f64::NEG_INFINITY);
+    }
+
+    /// Re-targets `self` in place to the degenerate box of point `p`.
+    pub(crate) fn set_point(&mut self, p: &[f64]) {
+        self.lo.copy_from_slice(p);
+        self.hi.copy_from_slice(p);
     }
 
     /// Dimensionality of the rectangle.
@@ -100,13 +147,18 @@ impl Rect {
 
     /// Grows `self` in place to cover `other`.
     pub fn grow(&mut self, other: &Rect) {
-        debug_assert_eq!(self.dim(), other.dim());
+        self.grow_corners(&other.lo, &other.hi);
+    }
+
+    /// Grows `self` in place to cover the box with corners `lo`, `hi`.
+    pub(crate) fn grow_corners(&mut self, lo: &[f64], hi: &[f64]) {
+        debug_assert_eq!(self.dim(), lo.len());
         for i in 0..self.lo.len() {
-            if other.lo[i] < self.lo[i] {
-                self.lo[i] = other.lo[i];
+            if lo[i] < self.lo[i] {
+                self.lo[i] = lo[i];
             }
-            if other.hi[i] > self.hi[i] {
-                self.hi[i] = other.hi[i];
+            if hi[i] > self.hi[i] {
+                self.hi[i] = hi[i];
             }
         }
     }
@@ -128,7 +180,7 @@ impl Rect {
     /// volume; infinite boxes have infinite volume.
     #[inline]
     pub fn volume(&self) -> f64 {
-        self.lo.iter().zip(&*self.hi).map(|(lo, hi)| hi - lo).product()
+        volume(&self.lo, &self.hi)
     }
 
     /// Sum of side lengths. Used as a tie-break objective during splits:
@@ -142,12 +194,7 @@ impl Rect {
     /// Volume of the smallest box covering both `self` and `other`.
     pub fn union_volume(&self, other: &Rect) -> f64 {
         debug_assert_eq!(self.dim(), other.dim());
-        self.lo
-            .iter()
-            .zip(&*self.hi)
-            .zip(other.lo.iter().zip(&*other.hi))
-            .map(|((slo, shi), (olo, ohi))| shi.max(*ohi) - slo.min(*olo))
-            .product()
+        union_volume(&self.lo, &self.hi, &other.lo, &other.hi)
     }
 
     /// How much the volume of `self` would increase if grown to cover
@@ -166,6 +213,27 @@ impl Rect {
     pub fn mindist_l1(&self) -> f64 {
         self.lo.iter().sum()
     }
+}
+
+// Box arithmetic on bare corners (`lo == hi` for a point), so that the
+// R-tree can size points and MBRs without building a `Rect` for each.
+// `Rect::volume` and `Rect::union_volume` delegate here: one arithmetic,
+// one evaluation order.
+
+/// Hyper-volume of the box with corners `lo`, `hi`.
+#[inline]
+pub(crate) fn volume(lo: &[f64], hi: &[f64]) -> f64 {
+    lo.iter().zip(hi).map(|(lo, hi)| hi - lo).product()
+}
+
+/// Volume of the smallest box covering boxes `a` and `b`.
+#[inline]
+pub(crate) fn union_volume(a_lo: &[f64], a_hi: &[f64], b_lo: &[f64], b_hi: &[f64]) -> f64 {
+    a_lo.iter()
+        .zip(a_hi)
+        .zip(b_lo.iter().zip(b_hi))
+        .map(|((alo, ahi), (blo, bhi))| ahi.max(*bhi) - alo.min(*blo))
+        .product()
 }
 
 #[cfg(test)]
@@ -195,6 +263,18 @@ mod unit {
         assert!(r.contains_point(&[2.0, 3.0]));
         assert!(r.contains_point(&[100.0, 100.0]));
         assert!(!r.contains_point(&[1.9, 100.0]));
+    }
+
+    #[test]
+    fn in_place_retargeting_matches_the_constructors() {
+        let mut down = Rect::from_origin(&[9.0, 9.0]);
+        let mut up = Rect::to_infinity(&[9.0, 9.0]);
+        for corner in [[2.0, 3.0], [0.0, 7.5]] {
+            down.set_from_origin(&corner);
+            up.set_to_infinity(&corner);
+            assert_eq!(down, Rect::from_origin(&corner));
+            assert_eq!(up, Rect::to_infinity(&corner));
+        }
     }
 
     #[test]

@@ -238,6 +238,63 @@ fn nearest_on_empty_tree() {
     assert!(tree.nearest(&[1.0, 1.0, 1.0], 5).is_empty());
 }
 
+/// FNV-1a over a pre-order walk of the tree: every node's kind, MBR bits
+/// and entry count, and every point's coordinate bits and id, in stored
+/// order.
+fn shape_digest(tree: &RTree) -> u64 {
+    fn word(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    fn walk(node: crate::NodeRef<'_>, h: &mut u64) {
+        word(h, u64::from(node.is_leaf()));
+        for v in node.mbr().lo().iter().chain(node.mbr().hi()) {
+            word(h, v.to_bits());
+        }
+        for (coords, id) in node.points() {
+            coords.iter().for_each(|v| word(h, v.to_bits()));
+            word(h, id);
+        }
+        let children: Vec<_> = node.children().collect();
+        word(h, children.len() as u64);
+        for child in children {
+            walk(child, h);
+        }
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    walk(tree.root(), &mut h);
+    h
+}
+
+#[test]
+fn insert_remove_shape_and_visit_order_are_pinned() {
+    // The skyline window's dominance-test counts depend on the tree's
+    // shape, its entry order and the window traversal order, so all three
+    // are pinned after a seeded mix of inserts (with splits) and removes
+    // (with condensing and reinsertion).
+    let mut rng = StdRng::seed_from_u64(0x7EE5);
+    let mut tree = RTree::new(8);
+    let mut live: Vec<(Vec<f64>, u64)> = Vec::new();
+    for id in 0..3000u64 {
+        let coords: Vec<f64> = (0..8).map(|_| rng.gen::<f64>()).collect();
+        tree.insert(&coords, id);
+        live.push((coords, id));
+        if id % 3 == 2 {
+            let (coords, victim) = live.swap_remove(rng.gen_range(0..live.len()));
+            assert!(tree.remove(&coords, victim));
+        }
+    }
+    tree.check_invariants(true);
+    let mut visits = 0xcbf2_9ce4_8422_2325u64;
+    tree.window(&Rect::from_origin(&[0.7; 8]), |_, id| {
+        visits = (visits ^ id).wrapping_mul(0x0100_0000_01b3);
+        true
+    });
+    assert_eq!(tree.stats(), crate::TreeStats { len: 2000, height: 3, nodes: 195 });
+    assert_eq!((shape_digest(&tree), visits), (15021306864244097934, 3034488160274493391));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

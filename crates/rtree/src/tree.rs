@@ -1,6 +1,6 @@
 //! The R-tree proper: arena-backed Guttman R-tree over points.
 
-use crate::rect::Rect;
+use crate::rect::{self, Rect};
 
 /// Default maximum number of entries per node.
 const DEFAULT_MAX: usize = 16;
@@ -167,9 +167,8 @@ impl RTree {
     /// whether an entry was found and removed.
     pub fn remove(&mut self, coords: &[f64], id: u64) -> bool {
         assert_eq!(coords.len(), self.dim, "point dimensionality mismatch");
-        let target = Rect::point(coords);
         let mut path = Vec::new();
-        if !self.find_path(self.root, &target, coords, id, &mut path) {
+        if !self.find_path(self.root, coords, id, &mut path) {
             return false;
         }
         let leaf = *path.last().expect("find_path returned an empty path");
@@ -502,16 +501,9 @@ impl RTree {
 
     /// Finds the leaf holding an entry with these coordinates and id,
     /// recording the root-to-leaf path in `path`. Returns whether found.
-    fn find_path(
-        &self,
-        nid: NodeId,
-        target: &Rect,
-        coords: &[f64],
-        id: u64,
-        path: &mut Vec<NodeId>,
-    ) -> bool {
+    fn find_path(&self, nid: NodeId, coords: &[f64], id: u64, path: &mut Vec<NodeId>) -> bool {
         let node = &self.nodes[nid];
-        if node.entry_count() == 0 || !node.mbr.contains_rect(target) {
+        if node.entry_count() == 0 || !node.mbr.contains_point(coords) {
             return false;
         }
         path.push(nid);
@@ -523,7 +515,7 @@ impl RTree {
             return false;
         }
         for &c in &node.children {
-            if self.find_path(c, target, coords, id, path) {
+            if self.find_path(c, coords, id, path) {
                 return true;
             }
         }
@@ -534,37 +526,34 @@ impl RTree {
     // --- insertion -----------------------------------------------------
 
     fn insert_entry(&mut self, entry: PointEntry) {
-        let target = Rect::point(&entry.coords);
-        if let Some(new_node) = self.insert_rec(self.root, entry, &target) {
+        if let Some(new_node) = self.insert_rec(self.root, entry) {
             self.grow_root(new_node);
         }
     }
 
     /// Recursive insert. Returns a freshly split-off sibling of `nid` if the
     /// node overflowed, to be installed by the caller.
-    fn insert_rec(&mut self, nid: NodeId, entry: PointEntry, target: &Rect) -> Option<NodeId> {
-        if self.nodes[nid].level == 0 {
-            self.nodes[nid].mbr = if self.nodes[nid].points.is_empty() {
-                target.clone()
+    fn insert_rec(&mut self, nid: NodeId, entry: PointEntry) -> Option<NodeId> {
+        let node = &mut self.nodes[nid];
+        if node.level == 0 {
+            if node.points.is_empty() {
+                node.mbr.set_point(&entry.coords);
             } else {
-                let mut m = self.nodes[nid].mbr.clone();
-                m.grow(target);
-                m
-            };
-            self.nodes[nid].points.push(entry);
-            if self.nodes[nid].points.len() > self.max_entries {
+                node.mbr.grow_point(&entry.coords);
+            }
+            node.points.push(entry);
+            if node.points.len() > self.max_entries {
                 return Some(self.split_leaf(nid));
             }
             return None;
         }
 
-        let chosen = self.choose_subtree(nid, target);
-        let split = self.insert_rec(chosen, entry, target);
-        // Refresh this node's MBR from its (possibly changed) children.
-        self.recompute_mbr(nid);
-        if let Some(sibling) = split {
+        // The subtree gains exactly this point, and a split below only
+        // redistributes it, so the tight MBR grows by the point in place.
+        node.mbr.grow_point(&entry.coords);
+        let chosen = self.choose_subtree(nid, &entry.coords);
+        if let Some(sibling) = self.insert_rec(chosen, entry) {
             self.nodes[nid].children.push(sibling);
-            self.recompute_mbr(nid);
             if self.nodes[nid].children.len() > self.max_entries {
                 return Some(self.split_internal(nid));
             }
@@ -573,15 +562,15 @@ impl RTree {
     }
 
     /// Guttman's ChooseLeaf step: least enlargement, ties by least volume.
-    fn choose_subtree(&self, nid: NodeId, target: &Rect) -> NodeId {
+    fn choose_subtree(&self, nid: NodeId, point: &[f64]) -> NodeId {
         let node = &self.nodes[nid];
         let mut best = node.children[0];
         let mut best_enl = f64::INFINITY;
         let mut best_vol = f64::INFINITY;
         for &c in &node.children {
             let mbr = &self.nodes[c].mbr;
-            let enl = mbr.enlargement(target);
             let vol = mbr.volume();
+            let enl = rect::union_volume(mbr.lo(), mbr.hi(), point, point) - vol;
             if enl < best_enl || (enl == best_enl && vol < best_vol) {
                 best = c;
                 best_enl = enl;
@@ -602,9 +591,12 @@ impl RTree {
         self.recompute_mbr(rid);
     }
 
+    /// Recomputes the tight MBR of `nid` from its contents, reusing the
+    /// node's own rectangle.
     fn recompute_mbr(&mut self, nid: NodeId) {
+        let mut mbr = std::mem::replace(&mut self.nodes[nid].mbr, Rect::placeholder());
+        mbr.clear();
         let node = &self.nodes[nid];
-        let mut mbr = Rect::empty(self.dim);
         if node.level == 0 {
             for p in &node.points {
                 mbr.grow_point(&p.coords);
@@ -621,8 +613,8 @@ impl RTree {
 
     fn split_leaf(&mut self, nid: NodeId) -> NodeId {
         let points = std::mem::take(&mut self.nodes[nid].points);
-        let rects: Vec<Rect> = points.iter().map(|p| Rect::point(&p.coords)).collect();
-        let (left_idx, right_idx) = self.quadratic_partition(&rects);
+        let (left_idx, right_idx) =
+            self.quadratic_partition(points.len(), |i| (&points[i].coords, &points[i].coords));
         let mut right_points = Vec::with_capacity(right_idx.len());
         let mut left_points = Vec::with_capacity(left_idx.len());
         let mut points: Vec<Option<PointEntry>> = points.into_iter().map(Some).collect();
@@ -643,8 +635,10 @@ impl RTree {
 
     fn split_internal(&mut self, nid: NodeId) -> NodeId {
         let children = std::mem::take(&mut self.nodes[nid].children);
-        let rects: Vec<Rect> = children.iter().map(|&c| self.nodes[c].mbr.clone()).collect();
-        let (left_idx, right_idx) = self.quadratic_partition(&rects);
+        let (left_idx, right_idx) = self.quadratic_partition(children.len(), |i| {
+            let mbr = &self.nodes[children[i]].mbr;
+            (mbr.lo(), mbr.hi())
+        });
         let left: Vec<NodeId> = left_idx.iter().map(|&i| children[i]).collect();
         let right: Vec<NodeId> = right_idx.iter().map(|&i| children[i]).collect();
         let level = self.nodes[nid].level;
@@ -657,19 +651,35 @@ impl RTree {
         sid
     }
 
-    /// Guttman's quadratic split over a set of rectangles: returns the two
-    /// index groups. Both groups are guaranteed at least `min_entries`
-    /// members (assuming `rects.len() > max_entries >= 2 * min_entries`).
-    fn quadratic_partition(&self, rects: &[Rect]) -> (Vec<usize>, Vec<usize>) {
-        let n = rects.len();
+    /// Guttman's quadratic split over `n` boxes, box `i` given by its
+    /// corners `corners(i)`: returns the two index groups. Both groups are
+    /// guaranteed at least `min_entries` members (assuming
+    /// `n > max_entries >= 2 * min_entries`).
+    ///
+    /// Each box's volume is computed once, and each group MBR's volume once
+    /// per PickNext round; every value equals what the per-use
+    /// [`Rect::volume`]/[`Rect::enlargement`] calls produce, so the split
+    /// is the same.
+    fn quadratic_partition<'a>(
+        &self,
+        n: usize,
+        corners: impl Fn(usize) -> (&'a [f64], &'a [f64]),
+    ) -> (Vec<usize>, Vec<usize>) {
         debug_assert!(n >= 2);
+        let volumes: Vec<f64> = (0..n)
+            .map(|i| {
+                let (lo, hi) = corners(i);
+                rect::volume(lo, hi)
+            })
+            .collect();
 
         // PickSeeds: the pair wasting the most area together.
         let (mut seed_a, mut seed_b, mut worst) = (0, 1, f64::NEG_INFINITY);
         for i in 0..n {
+            let (lo_i, hi_i) = corners(i);
             for j in (i + 1)..n {
-                let waste =
-                    rects[i].union_volume(&rects[j]) - rects[i].volume() - rects[j].volume();
+                let (lo_j, hi_j) = corners(j);
+                let waste = rect::union_volume(lo_i, hi_i, lo_j, hi_j) - volumes[i] - volumes[j];
                 if waste > worst {
                     worst = waste;
                     seed_a = i;
@@ -680,8 +690,10 @@ impl RTree {
 
         let mut group_a = vec![seed_a];
         let mut group_b = vec![seed_b];
-        let mut mbr_a = rects[seed_a].clone();
-        let mut mbr_b = rects[seed_b].clone();
+        let (lo, hi) = corners(seed_a);
+        let mut mbr_a = Rect::from_corners(lo, hi);
+        let (lo, hi) = corners(seed_b);
+        let mut mbr_b = Rect::from_corners(lo, hi);
         let mut remaining: Vec<usize> = (0..n).filter(|&i| i != seed_a && i != seed_b).collect();
 
         while !remaining.is_empty() {
@@ -695,10 +707,17 @@ impl RTree {
                 break;
             }
             // PickNext: entry with maximal preference difference.
+            let (va, vb) = (mbr_a.volume(), mbr_b.volume());
+            let enlargements = |i: usize| {
+                let (lo, hi) = corners(i);
+                (
+                    rect::union_volume(mbr_a.lo(), mbr_a.hi(), lo, hi) - va,
+                    rect::union_volume(mbr_b.lo(), mbr_b.hi(), lo, hi) - vb,
+                )
+            };
             let (mut pick_pos, mut pick_diff) = (0, f64::NEG_INFINITY);
             for (pos, &i) in remaining.iter().enumerate() {
-                let da = mbr_a.enlargement(&rects[i]);
-                let db = mbr_b.enlargement(&rects[i]);
+                let (da, db) = enlargements(i);
                 let diff = (da - db).abs();
                 if diff > pick_diff {
                     pick_diff = diff;
@@ -706,14 +725,12 @@ impl RTree {
                 }
             }
             let i = remaining.swap_remove(pick_pos);
-            let da = mbr_a.enlargement(&rects[i]);
-            let db = mbr_b.enlargement(&rects[i]);
+            let (da, db) = enlargements(i);
             // Prefer smaller enlargement; break ties by volume then count.
             let to_a = match da.partial_cmp(&db) {
                 Some(std::cmp::Ordering::Less) => true,
                 Some(std::cmp::Ordering::Greater) => false,
                 _ => {
-                    let (va, vb) = (mbr_a.volume(), mbr_b.volume());
                     if va != vb {
                         va < vb
                     } else {
@@ -721,12 +738,13 @@ impl RTree {
                     }
                 }
             };
+            let (lo, hi) = corners(i);
             if to_a {
                 group_a.push(i);
-                mbr_a.grow(&rects[i]);
+                mbr_a.grow_corners(lo, hi);
             } else {
                 group_b.push(i);
-                mbr_b.grow(&rects[i]);
+                mbr_b.grow_corners(lo, hi);
             }
         }
         (group_a, group_b)

@@ -67,4 +67,6 @@ pub use sorted::{DominanceIndex, SortedDataset, ThresholdOutcome};
 pub use subspace::Subspace;
 
 #[cfg(test)]
+mod kernel_counts;
+#[cfg(test)]
 mod proptests;

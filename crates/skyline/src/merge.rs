@@ -89,7 +89,7 @@ pub fn merge_sorted(
         }
     }
 
-    let mut window = super::sorted::Window::new(u, flavour, index);
+    let mut window = super::sorted::Window::new(dim, u, flavour, index);
     let mut threshold = initial_threshold;
     let mut pruned: u64 = 0;
     while let Some(head) = heap.pop() {
@@ -118,7 +118,7 @@ pub fn merge_sorted(
             });
         }
     }
-    let mut out = window.into_outcome(dim, threshold);
+    let mut out = window.into_outcome(threshold);
     out.stats.pruned_by_threshold = pruned;
     out
 }

@@ -15,7 +15,7 @@ use crate::dominance::Dominance;
 use crate::mapping::{dist, f_value};
 use crate::point::PointSet;
 use crate::subspace::Subspace;
-use skypeer_rtree::RTree;
+use skypeer_rtree::{RTree, Rect};
 
 /// A point set paired with its `f(p)` values, sorted ascending by `f`.
 ///
@@ -172,50 +172,70 @@ pub struct ThresholdOutcome {
 pub(crate) struct Window {
     u: Subspace,
     flavour: Dominance,
-    /// (full coords, id, f, alive) in insertion order.
-    entries: Vec<(Vec<f64>, u64, f64, bool)>,
-    alive: usize,
+    /// Accepted entries in arrival order: coordinates and ids in one flat
+    /// set, `f` values and liveness alongside.
+    entries: PointSet,
+    f: Vec<f64>,
+    alive: Vec<bool>,
     tree: Option<RTree>,
-    proj_buf: Vec<f64>,
+    /// The candidate's `U`-projection and the two window-query boxes over
+    /// it, `[0, proj]` (dominators) and `[proj, ∞)` (victims), reused
+    /// across offers.
+    proj: Vec<f64>,
+    dominators: Rect,
+    victims: Rect,
+    /// Eviction victims' slots, and a buffer for a victim's projection.
+    victim_slots: Vec<u64>,
+    victim_proj: Vec<f64>,
     stats: KernelStats,
 }
 
 impl Window {
-    pub(crate) fn new(u: Subspace, flavour: Dominance, index: DominanceIndex) -> Self {
+    pub(crate) fn new(dim: usize, u: Subspace, flavour: Dominance, index: DominanceIndex) -> Self {
         let tree = match index {
             DominanceIndex::Linear => None,
             DominanceIndex::RTree => Some(RTree::new(u.k())),
         };
+        let origin = vec![0.0; u.k()];
         Window {
             u,
             flavour,
-            entries: Vec::new(),
-            alive: 0,
+            entries: PointSet::new(dim),
+            f: Vec::new(),
+            alive: Vec::new(),
             tree,
-            proj_buf: Vec::new(),
+            proj: Vec::new(),
+            dominators: Rect::from_origin(&origin),
+            victims: Rect::to_infinity(&origin),
+            victim_slots: Vec::new(),
+            victim_proj: Vec::new(),
             stats: KernelStats::default(),
         }
     }
 
     /// Offers a candidate. Returns whether it was accepted into the window
-    /// (evicting any entries it dominates).
+    /// (evicting any entries it dominates). Candidates must arrive in
+    /// ascending `f` order.
     pub(crate) fn offer(&mut self, coords: &[f64], id: u64, f: f64) -> bool {
+        debug_assert!(self.f.last().is_none_or(|&last| last <= f), "offers out of f order");
         self.stats.points_scanned += 1;
         match &mut self.tree {
             Some(tree) => {
-                self.u.project_into(coords, &mut self.proj_buf);
+                self.u.project_into(coords, &mut self.proj);
                 let flavour = self.flavour;
+                let proj = &self.proj;
                 // Window query over [0, candidate]: is any stored point a
                 // dominator? Each visited point counts as one dominance
                 // test, so the cost model sees the tree's real work.
                 let mut visited = 0u64;
                 let mut dominated = false;
-                tree.window(&skypeer_rtree::Rect::from_origin(&self.proj_buf), |c, _| {
+                self.dominators.set_from_origin(proj);
+                tree.window(&self.dominators, |c, _| {
                     visited += 1;
                     let dom = match flavour {
                         // Inside the box already means <= everywhere.
-                        Dominance::Standard => c.iter().zip(&self.proj_buf).any(|(a, b)| a < b),
-                        Dominance::Extended => c.iter().zip(&self.proj_buf).all(|(a, b)| a < b),
+                        Dominance::Standard => c.iter().zip(proj).any(|(a, b)| a < b),
+                        Dominance::Extended => c.iter().zip(proj).all(|(a, b)| a < b),
                     };
                     if dom {
                         dominated = true;
@@ -227,71 +247,72 @@ impl Window {
                     return false;
                 }
                 // Window query over [candidate, ∞): evict everything the
-                // candidate dominates.
-                let mut victims: Vec<(Vec<f64>, u64)> = Vec::new();
-                tree.window(&skypeer_rtree::Rect::to_infinity(&self.proj_buf), |c, slot| {
-                    visited += 1;
-                    let dom = match flavour {
-                        Dominance::Standard => c.iter().zip(&self.proj_buf).any(|(a, b)| a > b),
-                        Dominance::Extended => c.iter().zip(&self.proj_buf).all(|(a, b)| a > b),
-                    };
-                    if dom {
-                        victims.push((c.to_vec(), slot));
-                    }
-                    true
-                });
-                self.stats.dominance_tests += visited;
-                for (vcoords, slot) in &victims {
-                    let removed = tree.remove(vcoords, *slot);
-                    debug_assert!(removed, "victim vanished from the window tree");
-                    self.entries[*slot as usize].3 = false;
-                    self.alive -= 1;
+                // candidate dominates. When U = D the window is provably
+                // empty once the last stored f is below the candidate's:
+                // a point >= the candidate on every dimension has
+                // f >= f(candidate), and every stored f is <= the last.
+                let full_space = self.u.k() == coords.len();
+                if !(full_space && self.f.last().is_some_and(|&last| last < f)) {
+                    self.victims.set_to_infinity(proj);
+                    let victim_slots = &mut self.victim_slots;
+                    tree.window(&self.victims, |c, slot| {
+                        visited += 1;
+                        let dom = match flavour {
+                            Dominance::Standard => c.iter().zip(proj).any(|(a, b)| a > b),
+                            Dominance::Extended => c.iter().zip(proj).all(|(a, b)| a > b),
+                        };
+                        if dom {
+                            victim_slots.push(slot);
+                        }
+                        true
+                    });
                 }
-                let slot = self.entries.len() as u64;
-                tree.insert(&self.proj_buf, slot);
-                self.entries.push((coords.to_vec(), id, f, true));
-                self.alive += 1;
-                true
+                self.stats.dominance_tests += visited;
+                for slot in self.victim_slots.drain(..) {
+                    let slot_ix = slot as usize;
+                    self.u.project_into(self.entries.point(slot_ix), &mut self.victim_proj);
+                    let removed = tree.remove(&self.victim_proj, slot);
+                    debug_assert!(removed, "victim vanished from the window tree");
+                    self.alive[slot_ix] = false;
+                }
+                tree.insert(&self.proj, self.f.len() as u64);
             }
             None => {
-                for (cand, _, _, alive) in &self.entries {
-                    if !alive {
+                for i in 0..self.f.len() {
+                    if !self.alive[i] {
                         continue;
                     }
                     self.stats.dominance_tests += 1;
-                    if self.flavour.dominates(cand, coords, self.u) {
+                    if self.flavour.dominates(self.entries.point(i), coords, self.u) {
                         return false;
                     }
                 }
-                for entry in &mut self.entries {
-                    if !entry.3 {
+                for i in 0..self.f.len() {
+                    if !self.alive[i] {
                         continue;
                     }
                     self.stats.dominance_tests += 1;
-                    if self.flavour.dominates(coords, &entry.0, self.u) {
-                        entry.3 = false;
-                        self.alive -= 1;
+                    if self.flavour.dominates(coords, self.entries.point(i), self.u) {
+                        self.alive[i] = false;
                     }
                 }
-                self.entries.push((coords.to_vec(), id, f, true));
-                self.alive += 1;
-                true
             }
         }
+        self.entries.push(coords, id);
+        self.f.push(f);
+        self.alive.push(true);
+        true
     }
 
-    /// Finalizes into an `f`-sorted dataset of the surviving entries.
-    pub(crate) fn into_outcome(self, dim: usize, threshold: f64) -> ThresholdOutcome {
-        let mut set = PointSet::with_capacity(dim, self.alive);
-        let mut f = Vec::with_capacity(self.alive);
-        for (coords, id, fv, alive) in self.entries {
-            if alive {
-                set.push(&coords, id);
-                f.push(fv);
-            }
-        }
+    /// Finalizes into an `f`-sorted dataset of the surviving entries. The
+    /// survivors are copied out at their exact size: results can live as
+    /// long as the network (super-peer stores), and the window's own
+    /// buffers carry up to twice their length in spare capacity.
+    pub(crate) fn into_outcome(self, threshold: f64) -> ThresholdOutcome {
+        let keep: Vec<usize> = (0..self.f.len()).filter(|&i| self.alive[i]).collect();
+        let f = keep.iter().map(|&i| self.f[i]).collect();
         ThresholdOutcome {
-            result: SortedDataset::from_sorted_parts(set, f),
+            result: SortedDataset::from_sorted_parts(self.entries.gather(&keep), f),
             threshold,
             stats: self.stats,
         }
@@ -313,7 +334,7 @@ pub fn threshold_skyline(
     index: DominanceIndex,
 ) -> ThresholdOutcome {
     skypeer_obs::scope!("skyline::threshold_skyline");
-    let mut window = Window::new(u, flavour, index);
+    let mut window = Window::new(data.dim(), u, flavour, index);
     let mut threshold = initial_threshold;
     let mut consumed = 0usize;
     for i in 0..data.len() {
@@ -330,7 +351,7 @@ pub fn threshold_skyline(
         }
     }
     window.stats.pruned_by_threshold = (data.len() - consumed) as u64;
-    window.into_outcome(data.dim(), threshold)
+    window.into_outcome(threshold)
 }
 
 #[cfg(test)]
