@@ -13,10 +13,27 @@
 //!   critical path of computation alone, "neglecting network delays" as
 //!   the paper puts it for Figure 3(b)).
 //!
-//! Both runs execute the full protocol and both results are checked for
-//! exactness. The spanning tree that duplicate suppression induces can
+//! Both runs execute the full protocol: every message is sent, delivered
+//! and charged, and every merge runs. Local skylines are the exception:
+//! each super-peer's Algorithm 1 (or BNL) run of the first simulation is
+//! recorded, keyed by super-peer and incoming threshold, and the second
+//! simulation replays it when it meets the same key, reporting the same
+//! work and the same notes. The kernels are deterministic, so a replay
+//! returns exactly what a fresh run would and every simulated number is
+//! unchanged. The spanning tree that duplicate suppression induces can
 //! differ between the two link models (first arrival wins), which is fine:
-//! each metric is read from the run whose link model defines it.
+//! each metric is read from the run whose link model defines it. Under
+//! `FT*`/naive every super-peer sees the initiator's threshold in both
+//! runs, so every local skyline is replayed; an `RT*` super-peer whose
+//! parent differs can see a different threshold and then computes afresh.
+//!
+//! The answers of the two runs are still checked against each other, and
+//! the check loses nothing: where a replay stands in for a computation,
+//! the two runs would have run the same deterministic kernel on the same
+//! inputs, which can never disagree. What can differ is still compared:
+//! routing, merges, and every local skyline computed from another
+//! threshold. Under [`CostModel::Measured`] the second run charges a
+//! replayed local skyline the wall time measured for it in the first run.
 
 use std::sync::Arc;
 
@@ -27,7 +44,7 @@ use skypeer_netsim::obs::Tracer;
 use skypeer_netsim::topology::{Topology, TopologySpec};
 use skypeer_skyline::{Dominance, DominanceIndex, SortedDataset, Subspace};
 
-use crate::node::{InitQuery, SuperPeerNode};
+use crate::node::{InitQuery, LocalRunMemo, SuperPeerNode};
 use crate::preprocess::{preprocess_network, PreprocessReport};
 use crate::variants::Variant;
 
@@ -108,7 +125,14 @@ pub struct QueryOutcome {
     /// Simulated response time with the configured link model, ns.
     pub total_time_ns: u64,
     /// Simulated response time with zero-delay links, ns — the paper's
-    /// "computational time".
+    /// "computational time". Only [`SkypeerEngine::run_query`] and the
+    /// calls built on it run the zero-delay simulation that defines it;
+    /// every single-simulation path (observed, cached, failure-injected,
+    /// other backends) reports 0. That simulation replays the local
+    /// skylines the configured-link run computed, which leaves the value
+    /// unchanged and the cross-check of the two answers as strong as
+    /// before; under [`CostModel::Measured`] it charges them the wall
+    /// times measured in that run (see the module docs).
     pub comp_time_ns: u64,
     /// Bytes transferred (configured-link run).
     pub volume_bytes: u64,
@@ -361,7 +385,7 @@ impl SkypeerEngine {
     /// Panics if either simulation fails to complete (a protocol bug) or if
     /// the two runs disagree on the result (ditto).
     pub fn run_query(&self, query: Query, variant: Variant) -> QueryOutcome {
-        self.run_query_inner(query, variant, None)
+        self.run_query_inner(query, variant, None).0
     }
 
     /// [`SkypeerEngine::run_query`] with a [`Tracer`] observing the
@@ -374,7 +398,7 @@ impl SkypeerEngine {
         variant: Variant,
         tracer: Arc<dyn Tracer>,
     ) -> QueryOutcome {
-        self.run_query_inner(query, variant, Some(tracer))
+        self.run_query_inner(query, variant, Some(tracer)).0
     }
 
     /// The soak-runner path: executes one query in a **single** simulation
@@ -437,8 +461,7 @@ impl SkypeerEngine {
         tracer: Option<Arc<dyn Tracer>>,
         link_overrides: &[(usize, usize, LinkModel)],
     ) -> QueryOutcome {
-        let qid = self.next_qid.get();
-        self.next_qid.set(qid.wrapping_add(1));
+        let qid = self.alloc_qid();
         let mut sim = Sim::new(
             self.make_nodes(query, variant, qid, flavour),
             self.config.link,
@@ -472,21 +495,27 @@ impl SkypeerEngine {
         }
     }
 
+    /// [`SkypeerEngine::run_query`], also returning how many local
+    /// skylines the zero-delay run replayed.
     fn run_query_inner(
         &self,
         query: Query,
         variant: Variant,
         tracer: Option<Arc<dyn Tracer>>,
-    ) -> QueryOutcome {
-        let qid = self.next_qid.get();
-        self.next_qid.set(qid.wrapping_add(1));
+    ) -> (QueryOutcome, usize) {
+        let qid = self.alloc_qid();
+        // Both runs share one memo, so the zero-delay run replays the local
+        // skylines the configured-link run computed.
+        let memo = Arc::new(LocalRunMemo::default());
+        let nodes = || -> Vec<SuperPeerNode> {
+            self.make_nodes(query, variant, qid, Dominance::Standard)
+                .into_iter()
+                .map(|node| node.with_local_run_memo(Arc::clone(&memo)))
+                .collect()
+        };
 
         // Total-time run with the configured (4 KB/s) links.
-        let mut sim = Sim::new(
-            self.make_nodes(query, variant, qid, Dominance::Standard),
-            self.config.link,
-            self.config.cost,
-        );
+        let mut sim = Sim::new(nodes(), self.config.link, self.config.cost);
         if let Some(tracer) = tracer {
             sim = sim.with_tracer(tracer);
         }
@@ -494,12 +523,8 @@ impl SkypeerEngine {
         let (real_stats, real_result, real_complete) = extract(real, query.initiator);
 
         // Computational-time run with zero-delay links.
-        let zero = Sim::new(
-            self.make_nodes(query, variant, qid, Dominance::Standard),
-            LinkModel::zero_delay(),
-            self.config.cost,
-        )
-        .run(query.initiator);
+        let zero =
+            Sim::new(nodes(), LinkModel::zero_delay(), self.config.cost).run(query.initiator);
         let (zero_stats, zero_result, zero_complete) = extract(zero, query.initiator);
         assert!(real_complete && zero_complete, "failure-free runs must be complete");
 
@@ -514,7 +539,7 @@ impl SkypeerEngine {
             "link model must not change the query answer (variant {variant})"
         );
 
-        QueryOutcome {
+        let outcome = QueryOutcome {
             result_ids: real_ids,
             complete: real_complete,
             result: real_result,
@@ -525,7 +550,8 @@ impl SkypeerEngine {
             dropped: real_stats.dropped,
             compute_ns_total: real_stats.compute_ns_total,
             rounds: real_stats.rounds,
-        }
+        };
+        (outcome, memo.hits())
     }
 
     /// Runs a whole workload under `variant`, returning per-query outcomes.
@@ -609,8 +635,7 @@ impl SkypeerEngine {
     /// initiator and its links — the bottleneck progressive merging
     /// removes (Section 5.2.3 of the paper).
     pub fn profile_query(&self, query: Query, variant: Variant) -> QueryProfile {
-        let qid = self.next_qid.get();
-        self.next_qid.set(qid.wrapping_add(1));
+        let qid = self.alloc_qid();
         let out = Sim::new(
             self.make_nodes(query, variant, qid, Dominance::Standard),
             self.config.link,
@@ -650,6 +675,10 @@ impl SkypeerEngine {
     /// may contain points that only a lost subtree could have dominated.
     /// When the outcome is complete, it is the exact global skyline.
     ///
+    /// The query is simulated once, with the configured links, so
+    /// `comp_time_ns` is reported as 0, as on
+    /// [`SkypeerEngine::run_query_observed`].
+    ///
     /// # Panics
     ///
     /// Panics if the initiator itself fails before completion.
@@ -660,8 +689,7 @@ impl SkypeerEngine {
         failures: &[(usize, u64)],
         child_timeout_ns: u64,
     ) -> QueryOutcome {
-        let qid = self.next_qid.get();
-        self.next_qid.set(qid.wrapping_add(1));
+        let qid = self.alloc_qid();
         let nodes: Vec<SuperPeerNode> = self
             .make_nodes(query, variant, qid, Dominance::Standard)
             .into_iter()
@@ -680,7 +708,7 @@ impl SkypeerEngine {
             complete,
             result,
             total_time_ns: stats.finished_at.expect("timeouts guarantee completion"),
-            comp_time_ns: stats.finished_at.expect("timeouts guarantee completion"),
+            comp_time_ns: 0,
             volume_bytes: stats.bytes,
             messages: stats.messages,
             dropped: stats.dropped,
@@ -836,24 +864,98 @@ mod unit {
         );
     }
 
-    #[test]
-    fn observed_run_matches_the_real_link_leg_of_run_query() {
+    /// Runs `query` through `run_query` and checks it against the single
+    /// simulations it stands for: its configured-link leg must equal the
+    /// observed run, and its zero-delay leg, which replays local skylines,
+    /// must equal a fresh zero-delay simulation without them. Returns how
+    /// many local skylines the zero-delay leg replayed.
+    fn check_against_single_sims(engine: &SkypeerEngine, query: Query, variant: Variant) -> usize {
         use skypeer_netsim::obs::{MemTracer, Tracer};
-        let engine = SkypeerEngine::build(tiny_config(17));
-        let query = Query { subspace: Subspace::from_dims(&[0, 3]), initiator: 2 };
-        let full = engine.run_query(query, Variant::Rtpm);
+        let case = format!("{:?} {query:?} {variant}", engine.config);
+        let (full, hits) = engine.run_query_inner(query, variant, None);
+
         let tracer = Arc::new(MemTracer::new());
-        let observed = engine.run_query_observed(
-            query,
-            Variant::Rtpm,
-            Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-        );
-        assert_eq!(observed.result_ids, full.result_ids);
-        assert_eq!(observed.total_time_ns, full.total_time_ns);
-        assert_eq!(observed.volume_bytes, full.volume_bytes);
-        assert_eq!(observed.messages, full.messages);
+        let observed =
+            engine.run_query_observed(query, variant, Some(Arc::clone(&tracer) as Arc<dyn Tracer>));
+        assert_eq!(observed.result_ids, full.result_ids, "{case}");
+        assert_eq!(observed.total_time_ns, full.total_time_ns, "{case}");
+        assert_eq!(observed.volume_bytes, full.volume_bytes, "{case}");
+        assert_eq!(observed.messages, full.messages, "{case}");
+        assert_eq!(observed.compute_ns_total, full.compute_ns_total, "{case}");
         assert_eq!(observed.comp_time_ns, 0, "no zero-delay leg on the observed path");
         assert!(!tracer.take().is_empty(), "the single sim is traced");
+
+        let fresh = Sim::new(
+            engine.make_nodes(query, variant, engine.alloc_qid(), Dominance::Standard),
+            LinkModel::zero_delay(),
+            engine.config.cost,
+        )
+        .run(query.initiator);
+        let (stats, result, complete) = extract(fresh, query.initiator);
+        assert!(complete, "{case}");
+        assert_eq!(stats.finished_at, Some(full.comp_time_ns), "{case}");
+        let mut ids: Vec<u64> = (0..result.len()).map(|i| result.points().id(i)).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, full.result_ids, "{case}");
+        assert_eq!(ids, engine.centralized_skyline(query.subspace), "{case}");
+        hits
+    }
+
+    #[test]
+    fn observed_run_matches_the_real_link_leg_of_run_query() {
+        for kind in [DatasetKind::Uniform, DatasetKind::Anticorrelated] {
+            for routing in [RoutingMode::Flood, RoutingMode::SpanningTree] {
+                for index in [DominanceIndex::Linear, DominanceIndex::RTree] {
+                    let mut cfg = tiny_config(17);
+                    cfg.dataset.kind = kind;
+                    cfg.routing = routing;
+                    cfg.index = index;
+                    let engine = SkypeerEngine::build(cfg);
+                    for initiator in [0, 2, 5] {
+                        for dims in [&[0, 3][..], &[1, 2, 3]] {
+                            let query = Query { subspace: Subspace::from_dims(dims), initiator };
+                            for variant in Variant::ALL {
+                                let hits = check_against_single_sims(&engine, query, variant);
+                                // Each super-peer computes once per leg. An
+                                // RT* super-peer's threshold comes from its
+                                // parent; FT*/naive ones all get the
+                                // initiator's, and a tree fixes every parent.
+                                if !variant.refines_threshold() || routing != RoutingMode::Flood {
+                                    assert_eq!(hits, cfg.n_superpeers, "{query:?} {variant}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // Half the super-peers hold no peers, so their local skylines cost
+        // next to nothing: the zero-delay leg routes the RT* query around
+        // the loaded ones, and some super-peers meet another threshold.
+        let n_superpeers = 12;
+        let mut topology = TopologySpec::paper_default(n_superpeers, 0);
+        topology.avg_degree = 3.0;
+        let engine = SkypeerEngine::build(EngineConfig {
+            n_peers: 6,
+            n_superpeers,
+            dataset: DatasetSpec {
+                dim: 4,
+                points_per_peer: 60,
+                kind: DatasetKind::Anticorrelated,
+                seed: 0,
+            },
+            topology,
+            ..tiny_config(0)
+        });
+        let query = Query { subspace: Subspace::from_dims(&[1, 2, 3]), initiator: 1 };
+        for variant in [Variant::Rtfm, Variant::Rtpm] {
+            let hits = check_against_single_sims(&engine, query, variant);
+            assert!(
+                hits > 0 && hits < n_superpeers,
+                "{variant}: {hits} of {n_superpeers} replayed"
+            );
+        }
     }
 
     #[test]

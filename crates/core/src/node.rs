@@ -30,8 +30,9 @@
 //! them.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use skypeer_netsim::cost::WorkReport;
 use skypeer_netsim::des::{Behavior, Context};
@@ -132,6 +133,93 @@ pub enum Routing {
     },
 }
 
+/// What one local skyline run reports besides its result.
+#[derive(Clone, Copy)]
+struct LocalWork {
+    /// The outgoing threshold.
+    threshold: f64,
+    stats: KernelStats,
+    measured: Duration,
+}
+
+/// One recorded local skyline run: the result as positions in the
+/// super-peer's store, in result order, and what the run reported.
+struct LocalRun {
+    positions: Vec<u32>,
+    work: LocalWork,
+}
+
+/// The local skyline runs of one query, shared by the nodes of every
+/// simulation of it (same stores, subspace, variant and flavour). A
+/// super-peer that meets the query with an incoming threshold it already
+/// computed from replays that run instead of computing it again: the
+/// kernels are deterministic, so the replay returns exactly what they
+/// would. `SkypeerEngine::run_query` shares one between its two legs.
+#[derive(Default)]
+pub(crate) struct LocalRunMemo {
+    /// Runs by super-peer and incoming-threshold bits.
+    runs: Mutex<HashMap<(usize, u64), LocalRun>>,
+    hits: AtomicUsize,
+}
+
+impl LocalRunMemo {
+    /// The run `sp` recorded from `threshold`, its result rebuilt from
+    /// `store`.
+    fn replay(
+        &self,
+        sp: usize,
+        threshold: f64,
+        store: &SortedDataset,
+    ) -> Option<(SortedDataset, LocalWork)> {
+        let runs = self.runs.lock().expect("no simulation panicked while holding the memo");
+        let run = runs.get(&(sp, threshold.to_bits()))?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some((from_positions(store, &run.positions), run.work))
+    }
+
+    /// Records the run `sp` computed from `threshold`. Each result point
+    /// is found in `store` by its `f` value, then by id and coordinate
+    /// bits among the points tied with it on `f`.
+    fn record(
+        &self,
+        sp: usize,
+        threshold: f64,
+        store: &SortedDataset,
+        result: &SortedDataset,
+        work: LocalWork,
+    ) {
+        let (all, found) = (store.points(), result.points());
+        let same_bits =
+            |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        let positions: Vec<u32> = (0..found.len())
+            .map(|i| {
+                let first_tie = store.f_values().partition_point(|&f| f < result.f(i));
+                let p = (first_tie..all.len())
+                    .find(|&p| all.id(p) == found.id(i) && same_bits(all.point(p), found.point(i)))
+                    .expect("a local skyline point is a store point");
+                u32::try_from(p).expect("store positions fit in u32")
+            })
+            .collect();
+        debug_assert!(from_positions(store, &positions) == *result);
+        self.runs
+            .lock()
+            .expect("no simulation panicked while holding the memo")
+            .insert((sp, threshold.to_bits()), LocalRun { positions, work });
+    }
+
+    /// How many local skyline runs were replayed.
+    pub(crate) fn hits(&self) -> usize {
+        self.hits.load(Ordering::Relaxed)
+    }
+}
+
+/// The points of `store` at `positions`, with their `f` values.
+fn from_positions(store: &SortedDataset, positions: &[u32]) -> SortedDataset {
+    let positions: Vec<usize> = positions.iter().map(|&p| p as usize).collect();
+    let f = positions.iter().map(|&p| store.f(p)).collect();
+    SortedDataset::from_sorted_parts(store.points().gather(&positions), f)
+}
+
 /// A super-peer node: stored ext-skyline plus protocol state.
 pub struct SuperPeerNode {
     id: usize,
@@ -144,6 +232,8 @@ pub struct SuperPeerNode {
     /// their subtree within this many (simulated) nanoseconds of the query
     /// being forwarded. `None` (the paper's protocol) waits forever.
     child_timeout: Option<u64>,
+    /// Local skyline runs shared with other simulations of the same query.
+    memo: Option<Arc<LocalRunMemo>>,
     states: HashMap<u32, QueryState>,
     /// Final answers of the queries this node initiated, in completion
     /// order.
@@ -169,6 +259,7 @@ impl SuperPeerNode {
             init_queries: init_query.into_iter().collect(),
             routing: Routing::Flood,
             child_timeout: None,
+            memo: None,
             states: HashMap::new(),
             outcomes: Vec::new(),
         }
@@ -195,6 +286,13 @@ impl SuperPeerNode {
         self
     }
 
+    /// Shares `memo` with the nodes of other simulations of the same
+    /// query (see [`LocalRunMemo`]).
+    pub(crate) fn with_local_run_memo(mut self, memo: Arc<LocalRunMemo>) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
     /// Switches this node to spanning-tree routing with the given
     /// children (see [`Routing::Tree`]). Tree routing supports a single
     /// query per run (the tree is rooted at one initiator).
@@ -214,21 +312,58 @@ impl SuperPeerNode {
         self.outcomes.iter().find(|(q, _)| *q == qid).map(|(_, a)| a)
     }
 
-    /// Runs the local computation: Algorithm 1 with the current threshold
-    /// for SKYPEER variants, plain BNL for the naive baseline. Updates the
-    /// state's threshold and reports the work to the runtime.
+    /// Runs the local computation, or replays the memo's run for this
+    /// incoming threshold. Updates the state's threshold and reports the
+    /// work to the runtime; a replay reports what the run reported.
     fn compute_local(&mut self, qid: u32, ctx: &mut dyn Context) {
-        let state = self.states.get_mut(&qid).expect("compute without state");
-        let index = self.policy.resolve(self.store.len(), state.subspace);
+        let state = self.states.get(&qid).expect("compute without state");
+        let (subspace, flavour, variant) = (state.subspace, state.flavour, state.variant);
         let old_threshold = state.threshold;
+        let replayed =
+            self.memo.as_ref().and_then(|memo| memo.replay(self.id, old_threshold, &self.store));
+        let (result, work) = match replayed {
+            Some(replayed) => replayed,
+            None => {
+                let (result, work) = self.local_skyline(subspace, flavour, variant, old_threshold);
+                if let Some(memo) = &self.memo {
+                    memo.record(self.id, old_threshold, &self.store, &result, work);
+                }
+                (result, work)
+            }
+        };
+        ctx.report_work(WorkReport {
+            dominance_tests: work.stats.dominance_tests,
+            points_scanned: work.stats.points_scanned,
+            measured: Some(work.measured),
+        });
+        if variant.uses_threshold() {
+            ctx.note(ProtoEvent::ThresholdRefine { qid, old: old_threshold, new: work.threshold });
+        }
+        if work.stats.pruned_by_threshold > 0 {
+            ctx.note(ProtoEvent::Prune { qid, pruned: work.stats.pruned_by_threshold });
+        }
+        ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::LocalDone });
+        let state = self.states.get_mut(&qid).expect("state checked above");
+        state.threshold = work.threshold;
+        state.local = Some(result);
+    }
+
+    /// Computes the local skyline: Algorithm 1 from `threshold` for SKYPEER
+    /// variants, plain BNL for the naive baseline.
+    fn local_skyline(
+        &self,
+        subspace: Subspace,
+        flavour: Dominance,
+        variant: Variant,
+        threshold: f64,
+    ) -> (SortedDataset, LocalWork) {
+        let index = self.policy.resolve(self.store.len(), subspace);
         let started = Instant::now();
-        let (result, threshold, stats) = if state.variant.uses_threshold() {
-            let out =
-                self.store.subspace_skyline(state.subspace, state.flavour, state.threshold, index);
+        let (result, threshold, stats) = if variant.uses_threshold() {
+            let out = self.store.subspace_skyline(subspace, flavour, threshold, index);
             (out.result, out.threshold, out.stats)
         } else {
-            let (indices, bstats) =
-                bnl::skyline_with_stats(self.store.points(), state.subspace, state.flavour);
+            let (indices, bstats) = bnl::skyline_with_stats(self.store.points(), subspace, flavour);
             let set = self.store.points().gather(&indices);
             let stats = KernelStats {
                 dominance_tests: bstats.dominance_tests,
@@ -237,20 +372,7 @@ impl SuperPeerNode {
             };
             (SortedDataset::from_set(&set), f64::INFINITY, stats)
         };
-        ctx.report_work(WorkReport {
-            dominance_tests: stats.dominance_tests,
-            points_scanned: stats.points_scanned,
-            measured: Some(started.elapsed()),
-        });
-        state.threshold = threshold;
-        state.local = Some(result);
-        if state.variant.uses_threshold() {
-            ctx.note(ProtoEvent::ThresholdRefine { qid, old: old_threshold, new: threshold });
-        }
-        if stats.pruned_by_threshold > 0 {
-            ctx.note(ProtoEvent::Prune { qid, pruned: stats.pruned_by_threshold });
-        }
-        ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::LocalDone });
+        (result, LocalWork { threshold, stats, measured: started.elapsed() })
     }
 
     /// Sends the query onward to every neighbor except the parent and
@@ -782,6 +904,60 @@ mod unit {
                     (0..answer.result.len()).map(|i| answer.result.points().id(i)).collect();
                 ids.sort_unstable();
                 assert_eq!(ids, want, "U={u} {variant}");
+            }
+        }
+    }
+
+    #[test]
+    fn replayed_local_skylines_equal_computed_ones_on_f_ties() {
+        // On the 0.01 grid many points tie on `f`, so store positions must
+        // be found by id and coordinates, not by `f`.
+        let topo = Topology::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
+        let (stores, _) = stores(5, 200);
+        let run = |memo: Option<&Arc<LocalRunMemo>>, link, variant, u| {
+            let nodes: Vec<SuperPeerNode> = (0..5)
+                .map(|sp| {
+                    let init = (sp == 0).then_some(InitQuery::standard(3, u, variant));
+                    let node = SuperPeerNode::new(
+                        sp,
+                        topo.neighbors(sp).to_vec(),
+                        Arc::clone(&stores[sp]),
+                        DominanceIndex::RTree,
+                        init,
+                    );
+                    match memo {
+                        Some(memo) => node.with_local_run_memo(Arc::clone(memo)),
+                        None => node,
+                    }
+                })
+                .collect();
+            let out = Sim::new(nodes, link, CostModel::default()).run(0);
+            let answer = out.nodes.into_iter().next().expect("initiator").into_outcome();
+            (answer.expect("query completed").result, out.stats)
+        };
+        for u in [Subspace::from_dims(&[0, 2]), Subspace::full(3)] {
+            let tied = stores.iter().any(|s| {
+                let local = s.subspace_skyline(
+                    u,
+                    Dominance::Standard,
+                    f64::INFINITY,
+                    DominanceIndex::RTree,
+                );
+                local.result.f_values().windows(2).any(|w| w[0] == w[1])
+            });
+            assert!(tied, "some local skyline on {u} has f ties");
+            for variant in Variant::ALL {
+                let memo = Arc::new(LocalRunMemo::default());
+                let (first, _) = run(Some(&memo), LinkModel::paper_4kbps(), variant, u);
+                let (replayed, replayed_stats) =
+                    run(Some(&memo), LinkModel::zero_delay(), variant, u);
+                let (fresh, fresh_stats) = run(None, LinkModel::zero_delay(), variant, u);
+                assert_eq!(memo.hits(), 5, "U={u} {variant}");
+                assert_eq!(replayed, fresh, "U={u} {variant}");
+                assert_eq!(replayed, first, "U={u} {variant}");
+                assert_eq!(replayed_stats.finished_at, fresh_stats.finished_at, "U={u} {variant}");
+                assert_eq!(replayed_stats.compute_ns_total, fresh_stats.compute_ns_total);
+                assert_eq!(replayed_stats.bytes, fresh_stats.bytes, "U={u} {variant}");
             }
         }
     }

@@ -35,6 +35,7 @@ fn no_failures_means_complete_and_exact() {
         let out = engine.run_query_with_failures(q, variant, &[], TIMEOUT_NS);
         assert!(out.complete, "{variant}");
         assert_eq!(out.result_ids, engine.centralized_skyline(q.subspace), "{variant}");
+        assert_eq!(out.comp_time_ns, 0, "one simulation, no zero-delay leg: {variant}");
     }
 }
 
