@@ -1,5 +1,6 @@
-//! Offline stub of the `bytes` crate: just enough of `Buf`, `BufMut`,
-//! and `BytesMut` for big-endian wire encoding of flat messages.
+//! Offline stub of the `bytes` crate: just enough of `Buf` and `BufMut`
+//! (with the real crate's `impl BufMut for Vec<u8>`) for big-endian wire
+//! encoding of flat messages.
 
 /// Read side of a byte cursor. All multi-byte reads are big-endian,
 /// matching the real crate's `get_*` defaults.
@@ -72,51 +73,13 @@ pub trait BufMut {
     }
 }
 
-/// Growable byte buffer, a thin wrapper over `Vec<u8>`.
-#[derive(Default, Debug, Clone, PartialEq, Eq)]
-pub struct BytesMut {
-    inner: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// Empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { inner: Vec::with_capacity(cap) }
-    }
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-    /// Copy out as a plain vector.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.inner.clone()
-    }
-}
-
-impl BufMut for BytesMut {
+/// Appends to the vector, as the real crate's `impl BufMut for Vec<u8>`
+/// does. A caller that reserves the final length up front never
+/// reallocates.
+impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
-    }
-}
-
-impl std::ops::Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.inner
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.inner
+        self.extend_from_slice(src);
     }
 }
 
@@ -126,13 +89,13 @@ mod tests {
 
     #[test]
     fn roundtrip_all_widths() {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u8(7);
         b.put_u32(0xDEAD_BEEF);
         b.put_u64(u64::MAX - 3);
         b.put_f64(-1.5);
-        let v = b.to_vec();
-        let mut r: &[u8] = &v;
+        assert_eq!(b.len(), 1 + 4 + 8 + 8);
+        let mut r: &[u8] = &b;
         assert_eq!(r.get_u8(), 7);
         assert_eq!(r.get_u32(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64(), u64::MAX - 3);

@@ -1,18 +1,25 @@
 //! Protocol messages and their wire codec.
 //!
 //! The network substrate moves opaque byte buffers, so every message is
-//! serialized through a small hand-rolled binary format (via the `bytes`
-//! crate). This keeps the *volume of transferred data* — one of the three
-//! metrics of the paper's evaluation — an honest property of the actual
-//! encoded bytes, rather than an estimate bolted onto in-memory structures.
+//! serialized through a small hand-rolled binary format. The *volume of
+//! transferred data* — one of the three metrics of the paper's evaluation —
+//! is the size of that format: [`Msg::wire_bytes`] computes it from the
+//! layout without encoding, and [`Msg::encode`] writes exactly that many
+//! bytes into a buffer allocated once. The two share one length function;
+//! what keeps the metric honest is the size property test, which checks
+//! `wire_bytes() == encode().len()` for every message kind, and a debug
+//! assertion on every encode. A payload whose length differs from the
+//! layout of what it decodes to is rejected.
 //!
 //! Result points travel with their full-space coordinates and global ids,
-//! ordered ascending by `f(p)` as Algorithm 2 expects; the `f` values
+//! ordered ascending by `(f(p), id)` as Algorithm 2 expects; the `f` values
 //! themselves are recomputed on arrival (they are derivable, so shipping
-//! them would inflate volume for nothing).
+//! them would inflate volume for nothing). A list that arrives in that
+//! order is wrapped as it is; any other order is re-sorted, so a decoded
+//! list never depends on the sender's honesty.
 
-use bytes::{Buf, BufMut, BytesMut};
-use skypeer_skyline::{Dominance, PointSet, SortedDataset, Subspace};
+use bytes::{Buf, BufMut};
+use skypeer_skyline::{f_value, Dominance, PointSet, SortedDataset, Subspace, MAX_DIM};
 
 use crate::variants::Variant;
 
@@ -112,9 +119,14 @@ pub enum Msg {
     },
 }
 
+/// Encoded length of [`encode_points`]' layout.
+fn points_len(points: &SortedDataset) -> usize {
+    1 + 4 + points.len() * (8 + 8 * points.dim())
+}
+
 /// Appends the shared point-list layout: `dim: u8`, `count: u32`, then
 /// `count` × (`id: u64`, `dim` × `coord: f64`).
-fn encode_points(b: &mut BytesMut, points: &SortedDataset) {
+fn encode_points(b: &mut Vec<u8>, points: &SortedDataset) {
     let set = points.points();
     b.put_u8(set.dim() as u8);
     b.put_u32(set.len() as u32);
@@ -129,20 +141,30 @@ fn encode_points(b: &mut BytesMut, points: &SortedDataset) {
 /// Decodes [`encode_points`], applying the same hostile-payload rejection
 /// rules as the `Answer` path (bounded dim, finite non-negative coords,
 /// declared count backed by actual payload).
+///
+/// Reads the points and their `f` values in one pass. A list that is
+/// non-decreasing in `(f, id)` — the order [`SortedDataset::from_set`]
+/// sorts into, and the order every honest sender ships — is wrapped as it
+/// is; any other list is re-sorted by `from_set`. Either way the result
+/// equals `from_set` of the decoded points.
 fn decode_points(buf: &mut &[u8]) -> Option<SortedDataset> {
     if buf.remaining() < 1 + 4 {
         return None;
     }
     let dim = buf.get_u8() as usize;
     let n = buf.get_u32() as usize;
-    if dim == 0 || buf.remaining() < n * (8 + 8 * dim) {
+    if dim == 0 || dim > MAX_DIM {
         return None;
     }
-    if dim > skypeer_skyline::MAX_DIM {
+    if n.checked_mul(8 + 8 * dim).is_none_or(|need| buf.remaining() < need) {
         return None;
     }
     let mut set = PointSet::with_capacity(dim, n);
-    let mut coords = vec![0.0; dim];
+    let mut f = Vec::with_capacity(n);
+    let mut coords = [0.0; MAX_DIM];
+    let coords = &mut coords[..dim];
+    let mut prev = (f64::NEG_INFINITY, 0);
+    let mut in_order = true;
     for _ in 0..n {
         let id = buf.get_u64();
         for c in coords.iter_mut() {
@@ -153,19 +175,39 @@ fn decode_points(buf: &mut &[u8]) -> Option<SortedDataset> {
         if coords.iter().any(|v| !v.is_finite() || *v < 0.0) {
             return None;
         }
-        set.push(&coords, id);
+        let key = (f_value(coords), id);
+        in_order &= prev <= key;
+        prev = key;
+        set.push(coords, id);
+        f.push(key.0);
     }
-    // The sender guarantees f-ascending order; rebuilding via from_set
-    // re-sorts defensively (stable for valid senders).
-    Some(SortedDataset::from_set(&set))
+    Some(if in_order {
+        SortedDataset::from_sorted_parts(set, f)
+    } else {
+        SortedDataset::from_set(&set)
+    })
 }
 
 impl Msg {
-    /// Serializes into bytes. The buffer length is the message's wire size,
-    /// except for [`Msg::ComputeLocal`], which callers send with 0 bytes.
+    /// Length of this message's encoding, from the layout [`Msg::encode`]
+    /// writes: the tag byte, the fixed header fields, then any point list.
+    fn encoded_len(&self) -> usize {
+        match self {
+            Msg::Query { .. } => 1 + 4 + 4 + 8 + 1 + 1,
+            Msg::Answer { points, .. } => 1 + 4 + 1 + 1 + points_len(points),
+            Msg::DupAck { .. } | Msg::ComputeLocal { .. } => 1 + 4,
+            Msg::SampleQuery { filter, .. } => 1 + 4 + 4 + 1 + points_len(filter),
+            Msg::Candidates { points, .. } => 1 + 4 + 1 + points_len(points),
+        }
+    }
+
+    /// Serializes into a buffer allocated once, at the exact length. The
+    /// buffer length is the message's wire size, except for
+    /// [`Msg::ComputeLocal`], which callers send with 0 bytes.
     pub fn encode(&self) -> Vec<u8> {
         skypeer_obs::scope!("wire::encode");
-        let mut b = BytesMut::new();
+        let len = self.encoded_len();
+        let mut b = Vec::with_capacity(len);
         match self {
             Msg::Query { qid, subspace, threshold, variant, flavour } => {
                 b.put_u8(1);
@@ -204,16 +246,20 @@ impl Msg {
                 encode_points(&mut b, points);
             }
         }
-        b.to_vec()
+        debug_assert_eq!(b.len(), len, "encoding disagrees with the layout length");
+        b
     }
 
-    /// Deserializes; returns `None` on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Option<Msg> {
+    /// Deserializes; returns `None` on malformed input, including a payload
+    /// whose length differs from the layout length of what it decodes to
+    /// (trailing bytes).
+    pub fn decode(payload: &[u8]) -> Option<Msg> {
         skypeer_obs::scope!("wire::decode");
+        let mut buf = payload;
         if buf.remaining() < 1 {
             return None;
         }
-        match buf.get_u8() {
+        let msg = match buf.get_u8() {
             1 => {
                 if buf.remaining() < 4 + 4 + 8 + 1 + 1 {
                     return None;
@@ -231,13 +277,7 @@ impl Msg {
                 }
                 let variant = Variant::from_wire(buf.get_u8())?;
                 let flavour = flavour_from_wire(buf.get_u8())?;
-                Some(Msg::Query {
-                    qid,
-                    subspace: Subspace::from_mask(mask),
-                    threshold,
-                    variant,
-                    flavour,
-                })
+                Msg::Query { qid, subspace: Subspace::from_mask(mask), threshold, variant, flavour }
             }
             2 => {
                 if buf.remaining() < 4 + 1 + 1 {
@@ -247,19 +287,19 @@ impl Msg {
                 let done = buf.get_u8() != 0;
                 let complete = buf.get_u8() != 0;
                 let points = decode_points(&mut buf)?;
-                Some(Msg::Answer { qid, done, complete, points })
+                Msg::Answer { qid, done, complete, points }
             }
             3 => {
                 if buf.remaining() < 4 {
                     return None;
                 }
-                Some(Msg::DupAck { qid: buf.get_u32() })
+                Msg::DupAck { qid: buf.get_u32() }
             }
             4 => {
                 if buf.remaining() < 4 {
                     return None;
                 }
-                Some(Msg::ComputeLocal { qid: buf.get_u32() })
+                Msg::ComputeLocal { qid: buf.get_u32() }
             }
             5 => {
                 if buf.remaining() < 4 + 4 + 1 {
@@ -272,7 +312,7 @@ impl Msg {
                 }
                 let flavour = flavour_from_wire(buf.get_u8())?;
                 let filter = decode_points(&mut buf)?;
-                Some(Msg::SampleQuery { qid, subspace: Subspace::from_mask(mask), flavour, filter })
+                Msg::SampleQuery { qid, subspace: Subspace::from_mask(mask), flavour, filter }
             }
             6 => {
                 if buf.remaining() < 4 + 1 {
@@ -281,18 +321,22 @@ impl Msg {
                 let qid = buf.get_u32();
                 let complete = buf.get_u8() != 0;
                 let points = decode_points(&mut buf)?;
-                Some(Msg::Candidates { qid, complete, points })
+                Msg::Candidates { qid, complete, points }
             }
-            _ => None,
-        }
+            _ => return None,
+        };
+        (msg.encoded_len() == payload.len()).then_some(msg)
     }
 
-    /// On-wire size in bytes: actual encoded length, except that
-    /// [`Msg::ComputeLocal`] is free (it never crosses the network).
+    /// On-wire size in bytes, computed from the layout without encoding:
+    /// the length [`Msg::encode`] returns, except that
+    /// [`Msg::ComputeLocal`] is free (it never crosses the network). The
+    /// size property test and `encode`'s debug assertion keep the two
+    /// equal.
     pub fn wire_bytes(&self) -> u64 {
         match self {
             Msg::ComputeLocal { .. } => 0,
-            _ => self.encode().len() as u64,
+            _ => self.encoded_len() as u64,
         }
     }
 }
@@ -390,6 +434,60 @@ mod unit {
             Msg::Answer { qid: 0, done: false, complete: true, points: sample_points() }.encode();
         ans.truncate(ans.len() - 8);
         assert_eq!(Msg::decode(&ans), None);
+        // One trailing byte after an otherwise valid message.
+        assert_eq!(Msg::decode(&[3, 0, 0, 0, 1, 99]), None, "trailing byte after a DupAck");
+        for m in [
+            Msg::Query {
+                qid: 0,
+                subspace: Subspace::from_mask(1),
+                threshold: 1.0,
+                variant: Variant::Ftfm,
+                flavour: Dominance::Standard,
+            },
+            Msg::Answer { qid: 0, done: true, complete: true, points: sample_points() },
+            Msg::DupAck { qid: 1 },
+        ] {
+            let mut long = m.encode();
+            long.push(0);
+            assert_eq!(Msg::decode(&long), None, "trailing byte after {m:?}");
+        }
+    }
+
+    /// `(id, coordinates)` of 2-d points, in the order a sender ships them.
+    type RawPoints = [(u64, [f64; 2])];
+
+    /// Hand-builds an `Answer` payload that ships `points` in the given
+    /// order, whatever that order is.
+    fn raw_answer(points: &RawPoints) -> Vec<u8> {
+        let mut b = vec![2, 0, 0, 0, 1, 1, 1, 2]; // tag, qid, done, complete, dim
+        b.put_u32(points.len() as u32);
+        for (id, coords) in points {
+            b.put_u64(*id);
+            for &v in coords {
+                b.put_f64(v);
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn decoded_lists_equal_from_set_in_any_order() {
+        let cases: [(&str, &RawPoints); 4] = [
+            ("descending f", &[(1, [3.0, 5.0]), (2, [2.0, 5.0]), (3, [1.0, 5.0])]),
+            ("equal f, descending ids", &[(9, [1.0, 4.0]), (5, [1.0, 2.0]), (2, [3.0, 1.0])]),
+            ("repeated (f, id)", &[(1, [0.5, 0.5]), (4, [1.0, 3.0]), (4, [1.0, 2.0])]),
+            ("honest order", &[(3, [0.5, 9.0]), (1, [1.0, 1.0]), (2, [4.0, 1.0]), (7, [2.0, 2.0])]),
+        ];
+        for (name, points) in cases {
+            let Some(Msg::Answer { points: decoded, .. }) = Msg::decode(&raw_answer(points)) else {
+                panic!("{name}: payload must decode");
+            };
+            let mut set = PointSet::new(2);
+            for (id, coords) in points {
+                set.push(coords, *id);
+            }
+            assert_eq!(decoded, SortedDataset::from_set(&set), "{name}");
+        }
     }
 
     #[test]
@@ -533,51 +631,53 @@ mod unit {
                 }
             }
 
-            /// Round-trip identity over the structured message space.
+            /// Round-trip identity over every message kind, and the declared
+            /// wire size is the bytes actually on the wire (0 for the
+            /// self-addressed `ComputeLocal`). `wire_bytes` computes the
+            /// size from the layout without encoding, so this is what keeps
+            /// the volume metric honest.
             #[test]
-            fn prop_query_roundtrip(
+            fn prop_every_kind_roundtrips_at_its_wire_size(
                 qid in any::<u32>(),
                 mask in 1u32..=0xFF,
                 threshold in prop_oneof![(0.0f64..1e12), Just(f64::INFINITY)],
                 variant_idx in 0usize..5,
                 flavour_idx in 0usize..2,
-            ) {
-                let m = Msg::Query {
-                    qid,
-                    subspace: Subspace::from_mask(mask),
-                    threshold,
-                    variant: Variant::ALL[variant_idx],
-                    flavour: [Dominance::Standard, Dominance::Extended][flavour_idx],
-                };
-                prop_assert_eq!(Msg::decode(&m.encode()), Some(m));
-            }
-
-            /// Round-trip identity for the sampling-backend messages, and
-            /// the declared wire size is the bytes actually on the wire.
-            #[test]
-            fn prop_sampling_roundtrip_and_size(
-                qid in any::<u32>(),
-                mask in 1u32..=0xFF,
-                flavour_idx in 0usize..2,
+                done in any::<bool>(),
                 complete in any::<bool>(),
-                coords in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 0..8),
+                dim in 1usize..=8,
+                n in 0usize..=16,
+                // Grid values make f ties, and so id tie-breaks, common.
+                coords in prop::collection::vec(
+                    prop_oneof![(0.0f64..100.0), (0u32..4).prop_map(f64::from)],
+                    16 * 8,
+                ),
+                ids in prop::collection::vec(any::<u64>(), 16),
             ) {
-                let mut set = PointSet::new(2);
-                for (i, &(x, y)) in coords.iter().enumerate() {
-                    set.push(&[x, y], i as u64);
+                let mut set = PointSet::new(dim);
+                for (p, &id) in coords.chunks(dim).zip(&ids).take(n) {
+                    set.push(p, id);
                 }
                 let points = SortedDataset::from_set(&set);
-                let sq = Msg::SampleQuery {
-                    qid,
-                    subspace: Subspace::from_mask(mask),
-                    flavour: [Dominance::Standard, Dominance::Extended][flavour_idx],
-                    filter: points.clone(),
-                };
-                prop_assert_eq!(sq.wire_bytes(), sq.encode().len() as u64);
-                prop_assert_eq!(Msg::decode(&sq.encode()), Some(sq));
-                let cand = Msg::Candidates { qid, complete, points };
-                prop_assert_eq!(cand.wire_bytes(), cand.encode().len() as u64);
-                prop_assert_eq!(Msg::decode(&cand.encode()), Some(cand));
+                let subspace = Subspace::from_mask(mask);
+                let variant = Variant::ALL[variant_idx];
+                let flavour = [Dominance::Standard, Dominance::Extended][flavour_idx];
+                for m in [
+                    Msg::Query { qid, subspace, threshold, variant, flavour },
+                    Msg::Answer { qid, done, complete, points: points.clone() },
+                    Msg::DupAck { qid },
+                    Msg::ComputeLocal { qid },
+                    Msg::SampleQuery { qid, subspace, flavour, filter: points.clone() },
+                    Msg::Candidates { qid, complete, points },
+                ] {
+                    let bytes = m.encode();
+                    let size = match m {
+                        Msg::ComputeLocal { .. } => 0,
+                        _ => bytes.len() as u64,
+                    };
+                    prop_assert_eq!(m.wire_bytes(), size);
+                    prop_assert_eq!(Msg::decode(&bytes), Some(m));
+                }
             }
         }
     }
