@@ -1396,7 +1396,7 @@ pub fn csv_query(args: &Args) -> Result<(), ArgError> {
             &parts[p]
         });
     let stores: Vec<Arc<skypeer_skyline::SortedDataset>> =
-        stores.into_iter().map(|s| Arc::new(s.store)).collect();
+        stores.into_iter().map(|s| s.store).collect();
     let stored = report.stored_points;
     println!(
         "distributed over {n_superpeers} super-peers × {peers_per_sp} peers; {stored} points stored after preprocessing ({:.1}%)",

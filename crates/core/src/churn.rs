@@ -155,7 +155,7 @@ impl ChurnRunner {
             .iter()
             .zip(&self.alive)
             .filter(|(_, &alive)| alive)
-            .map(|(s, _)| &s.store)
+            .map(|(s, _)| &*s.store)
             .collect();
         if lists.is_empty() {
             return Vec::new();
@@ -288,7 +288,7 @@ impl ChurnRunner {
                 SuperPeerNode::new(
                     sp,
                     self.topology.neighbors(sp).to_vec(),
-                    Arc::new(self.stores[sp].store.clone()),
+                    Arc::clone(&self.stores[sp].store),
                     self.index,
                     init,
                 )

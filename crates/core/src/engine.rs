@@ -275,7 +275,7 @@ impl SkypeerEngine {
         SkypeerEngine {
             config,
             topology,
-            stores: stores.into_iter().map(|s| Arc::new(s.store)).collect(),
+            stores: stores.into_iter().map(|s| s.store).collect(),
             preprocess,
             query_policy: crate::planner::IndexPolicy::Fixed(config.index),
             next_qid: std::cell::Cell::new(1),
@@ -719,7 +719,9 @@ impl SkypeerEngine {
 
     /// The exact global subspace skyline, computed centrally from the
     /// super-peer stores (lossless by Observation 4) — the oracle the
-    /// distributed answers are verified against.
+    /// distributed answers are verified against. It runs Algorithm 2 on
+    /// the linear dominance window whatever the configured index, so an
+    /// R-tree defect cannot agree with itself.
     pub fn centralized_skyline(&self, u: Subspace) -> Vec<u64> {
         let refs: Vec<&SortedDataset> = self.stores.iter().map(|a| a.as_ref()).collect();
         let merged = skypeer_skyline::merge::merge_sorted(
@@ -727,7 +729,7 @@ impl SkypeerEngine {
             u,
             Dominance::Standard,
             f64::INFINITY,
-            self.config.index,
+            DominanceIndex::Linear,
         );
         let mut ids: Vec<u64> =
             (0..merged.result.len()).map(|i| merged.result.points().id(i)).collect();

@@ -241,7 +241,7 @@ mod unit {
                 all.extend_from(s);
             }
             let store = SuperPeerStore::preprocess(&sets, 4, DominanceIndex::Linear);
-            stores.push(Arc::new(store.store));
+            stores.push(store.store);
         }
         (topo, stores, all)
     }

@@ -18,6 +18,7 @@
 use std::borrow::Borrow;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use skypeer_skyline::extended::ext_skyline;
 use skypeer_skyline::merge::merge_sorted;
@@ -43,8 +44,9 @@ use skypeer_skyline::{Dominance, DominanceIndex, PointSet, SortedDataset, Subspa
 #[derive(Clone, Debug)]
 pub struct SuperPeerStore {
     /// The ext-skyline of the union of all attached peers' data,
-    /// `f`-ascending (the paper's `∪ ext-SKY_Di`).
-    pub store: SortedDataset,
+    /// `f`-ascending (the paper's `∪ ext-SKY_Di`). Shared with the nodes
+    /// that answer queries from it; a join replaces it.
+    pub store: Arc<SortedDataset>,
     /// Total raw points held by the attached peers.
     pub raw_points: usize,
     /// Total points uploaded by peers (Σ local ext-skyline sizes) —
@@ -58,7 +60,7 @@ impl SuperPeerStore {
     /// An empty store of the given dimensionality.
     pub fn empty(dim: usize) -> Self {
         SuperPeerStore {
-            store: SortedDataset::empty(dim),
+            store: Arc::new(SortedDataset::empty(dim)),
             raw_points: 0,
             uploaded_points: 0,
             uploaded_bytes: 0,
@@ -97,7 +99,7 @@ impl SuperPeerStore {
             merge_sorted(&refs, Subspace::full(dim), Dominance::Extended, f64::INFINITY, index)
                 .result
         };
-        SuperPeerStore { store, raw_points, uploaded_points, uploaded_bytes }
+        SuperPeerStore { store: Arc::new(store), raw_points, uploaded_points, uploaded_bytes }
     }
 
     /// Handles a peer join (Section 5.3): ext-merges the newcomer's upload
@@ -109,13 +111,13 @@ impl SuperPeerStore {
         self.uploaded_points += up.len();
         self.uploaded_bytes += up.wire_bytes();
         let merged = merge_sorted(
-            &[&self.store, &up],
+            &[&*self.store, &up],
             Subspace::full(self.store.dim()),
             Dominance::Extended,
             f64::INFINITY,
             index,
         );
-        self.store = merged.result;
+        self.store = Arc::new(merged.result);
     }
 }
 

@@ -22,7 +22,9 @@ pub fn global_dataset(spec: &DatasetSpec, peer_home: &[usize]) -> PointSet {
 }
 
 /// The exact subspace skyline of an arbitrary point set, as sorted ids.
-/// Uses the O(n²) oracle below `cutoff` points, Algorithm 1 above it.
+/// Uses the O(n²) oracle below `cutoff` points, Algorithm 1 above it, on
+/// the linear dominance window: the oracle shares no code with the R-tree
+/// it checks.
 pub fn exact_skyline_ids(set: &PointSet, u: Subspace, cutoff: usize) -> Vec<u64> {
     if set.len() <= cutoff {
         brute::skyline_ids(set, u, Dominance::Standard)
@@ -33,7 +35,7 @@ pub fn exact_skyline_ids(set: &PointSet, u: Subspace, cutoff: usize) -> Vec<u64>
             u,
             Dominance::Standard,
             f64::INFINITY,
-            DominanceIndex::RTree,
+            DominanceIndex::Linear,
         );
         let mut ids: Vec<u64> = (0..out.result.len()).map(|i| out.result.points().id(i)).collect();
         ids.sort_unstable();

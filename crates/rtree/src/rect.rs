@@ -1,4 +1,8 @@
 //! Axis-aligned minimum bounding rectangles of runtime dimensionality.
+//!
+//! A box is one `f64` slice of `2 × dim` values, the lower corner then the
+//! upper corner. [`Rect`] owns one; the tree's pages store their children's
+//! boxes the same way, so both share the box arithmetic below.
 
 /// An axis-aligned box in `dim`-dimensional space.
 ///
@@ -6,8 +10,8 @@
 /// crate. A point is represented as a degenerate rectangle with `lo == hi`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Rect {
-    lo: Box<[f64]>,
-    hi: Box<[f64]>,
+    /// `lo` then `hi`.
+    corners: Box<[f64]>,
 }
 
 impl Rect {
@@ -20,26 +24,28 @@ impl Rect {
     pub fn new(lo: &[f64], hi: &[f64]) -> Self {
         assert_eq!(lo.len(), hi.len(), "corner dimensionality mismatch");
         assert!(lo.iter().zip(hi).all(|(l, h)| l <= h), "inverted rectangle: lo {lo:?} hi {hi:?}");
-        Rect { lo: lo.into(), hi: hi.into() }
+        Rect { corners: [lo, hi].concat().into() }
     }
 
     /// Creates the degenerate rectangle covering a single point.
     pub fn point(coords: &[f64]) -> Self {
-        Rect { lo: coords.into(), hi: coords.into() }
+        Rect { corners: [coords, coords].concat().into() }
     }
 
     /// Creates the rectangle `[0, corner]` anchored at the origin, the
     /// search region for "who dominates `corner`" in min-skyline space.
     pub fn from_origin(corner: &[f64]) -> Self {
-        let lo = vec![0.0; corner.len()].into_boxed_slice();
-        Rect { lo, hi: corner.into() }
+        let mut r = Rect { corners: vec![0.0; 2 * corner.len()].into() };
+        r.set_from_origin(corner);
+        r
     }
 
     /// Creates the unbounded-above rectangle `[corner, +inf)`, the search
     /// region for "whom does `corner` dominate".
     pub fn to_infinity(corner: &[f64]) -> Self {
-        let hi = vec![f64::INFINITY; corner.len()].into_boxed_slice();
-        Rect { lo: corner.into(), hi }
+        let mut r = Rect { corners: vec![0.0; 2 * corner.len()].into() };
+        r.set_to_infinity(corner);
+        r
     }
 
     /// [`Rect::from_origin`] in place: re-targets `self` to `[0, corner]`
@@ -50,8 +56,9 @@ impl Rect {
     ///
     /// Panics if `corner.len() != self.dim()`.
     pub fn set_from_origin(&mut self, corner: &[f64]) {
-        self.lo.fill(0.0);
-        self.hi.copy_from_slice(corner);
+        let (lo, hi) = self.corners.split_at_mut(corner.len());
+        lo.fill(0.0);
+        hi.copy_from_slice(corner);
     }
 
     /// [`Rect::to_infinity`] in place: re-targets `self` to
@@ -61,126 +68,74 @@ impl Rect {
     ///
     /// Panics if `corner.len() != self.dim()`.
     pub fn set_to_infinity(&mut self, corner: &[f64]) {
-        self.lo.copy_from_slice(corner);
-        self.hi.fill(f64::INFINITY);
-    }
-
-    /// An "empty" rectangle that is the identity for [`Rect::grow`]:
-    /// `lo = +inf`, `hi = -inf` on every axis. Not a valid stored rectangle.
-    pub(crate) fn empty(dim: usize) -> Self {
-        Rect {
-            lo: vec![f64::INFINITY; dim].into_boxed_slice(),
-            hi: vec![f64::NEG_INFINITY; dim].into_boxed_slice(),
-        }
-    }
-
-    /// A zero-dimensional rectangle. It owns no heap storage, so it can
-    /// stand in for a node's MBR while that MBR is recomputed in place.
-    pub(crate) fn placeholder() -> Self {
-        Rect { lo: Box::default(), hi: Box::default() }
-    }
-
-    /// A rectangle with these corners, unchecked: `lo == hi` for a point,
-    /// or the corners of an existing rectangle.
-    pub(crate) fn from_corners(lo: &[f64], hi: &[f64]) -> Self {
-        Rect { lo: lo.into(), hi: hi.into() }
-    }
-
-    /// Resets `self` in place to [`Rect::empty`].
-    pub(crate) fn clear(&mut self) {
-        self.lo.fill(f64::INFINITY);
-        self.hi.fill(f64::NEG_INFINITY);
-    }
-
-    /// Re-targets `self` in place to the degenerate box of point `p`.
-    pub(crate) fn set_point(&mut self, p: &[f64]) {
-        self.lo.copy_from_slice(p);
-        self.hi.copy_from_slice(p);
+        let (lo, hi) = self.corners.split_at_mut(corner.len());
+        lo.copy_from_slice(corner);
+        hi.fill(f64::INFINITY);
     }
 
     /// Dimensionality of the rectangle.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.lo.len()
+        self.corners.len() / 2
     }
 
     /// Lower corner.
     #[inline]
     pub fn lo(&self) -> &[f64] {
-        &self.lo
+        &self.corners[..self.dim()]
     }
 
     /// Upper corner.
     #[inline]
     pub fn hi(&self) -> &[f64] {
-        &self.hi
+        &self.corners[self.dim()..]
+    }
+
+    /// Both corners, `lo` then `hi`, as one slice.
+    #[inline]
+    pub(crate) fn corners(&self) -> &[f64] {
+        &self.corners
     }
 
     /// Whether `self` and `other` share at least one point.
     #[inline]
     pub fn intersects(&self, other: &Rect) -> bool {
         debug_assert_eq!(self.dim(), other.dim());
-        self.lo
-            .iter()
-            .zip(&*self.hi)
-            .zip(other.lo.iter().zip(&*other.hi))
-            .all(|((slo, shi), (olo, ohi))| slo <= ohi && olo <= shi)
+        intersects(&self.corners, &other.corners)
     }
 
     /// Whether `self` fully contains `other`.
     #[inline]
     pub fn contains_rect(&self, other: &Rect) -> bool {
         debug_assert_eq!(self.dim(), other.dim());
-        self.lo
-            .iter()
-            .zip(&*self.hi)
-            .zip(other.lo.iter().zip(&*other.hi))
-            .all(|((slo, shi), (olo, ohi))| slo <= olo && ohi <= shi)
+        contains(&self.corners, other.lo()) && contains(&self.corners, other.hi())
     }
 
     /// Whether the point `p` lies inside `self` (boundaries inclusive).
     #[inline]
     pub fn contains_point(&self, p: &[f64]) -> bool {
         debug_assert_eq!(self.dim(), p.len());
-        self.lo.iter().zip(&*self.hi).zip(p).all(|((lo, hi), v)| lo <= v && v <= hi)
+        contains(&self.corners, p)
     }
 
     /// Grows `self` in place to cover `other`.
     pub fn grow(&mut self, other: &Rect) {
-        self.grow_corners(&other.lo, &other.hi);
-    }
-
-    /// Grows `self` in place to cover the box with corners `lo`, `hi`.
-    pub(crate) fn grow_corners(&mut self, lo: &[f64], hi: &[f64]) {
-        debug_assert_eq!(self.dim(), lo.len());
-        for i in 0..self.lo.len() {
-            if lo[i] < self.lo[i] {
-                self.lo[i] = lo[i];
-            }
-            if hi[i] > self.hi[i] {
-                self.hi[i] = hi[i];
-            }
-        }
+        debug_assert_eq!(self.dim(), other.dim());
+        let (lo, hi) = other.corners.split_at(other.dim());
+        grow(&mut self.corners, lo, hi);
     }
 
     /// Grows `self` in place to cover the point `p`.
     pub fn grow_point(&mut self, p: &[f64]) {
         debug_assert_eq!(self.dim(), p.len());
-        for (i, &v) in p.iter().enumerate() {
-            if v < self.lo[i] {
-                self.lo[i] = v;
-            }
-            if v > self.hi[i] {
-                self.hi[i] = v;
-            }
-        }
+        grow(&mut self.corners, p, p);
     }
 
     /// Hyper-volume (product of side lengths). Degenerate boxes have zero
     /// volume; infinite boxes have infinite volume.
     #[inline]
     pub fn volume(&self) -> f64 {
-        volume(&self.lo, &self.hi)
+        volume(self.lo(), self.hi())
     }
 
     /// Sum of side lengths. Used as a tie-break objective during splits:
@@ -188,13 +143,13 @@ impl Rect {
     /// are common when indexing points.
     #[inline]
     pub fn margin(&self) -> f64 {
-        self.lo.iter().zip(&*self.hi).map(|(lo, hi)| hi - lo).sum()
+        self.lo().iter().zip(self.hi()).map(|(lo, hi)| hi - lo).sum()
     }
 
     /// Volume of the smallest box covering both `self` and `other`.
     pub fn union_volume(&self, other: &Rect) -> f64 {
         debug_assert_eq!(self.dim(), other.dim());
-        union_volume(&self.lo, &self.hi, &other.lo, &other.hi)
+        union_volume(self.lo(), self.hi(), other.lo(), other.hi())
     }
 
     /// How much the volume of `self` would increase if grown to cover
@@ -203,37 +158,84 @@ impl Rect {
     pub fn enlargement(&self, other: &Rect) -> f64 {
         self.union_volume(other) - self.volume()
     }
+}
 
-    /// L1 mindist from the origin: `Σ_i lo[i]`. This is the priority key
-    /// of the BBS skyline algorithm (Papadias et al.): no point inside the
-    /// box can have a smaller coordinate sum than the box's lower corner,
-    /// and a point dominating the lower corner dominates every point in
-    /// the box.
-    #[inline]
-    pub fn mindist_l1(&self) -> f64 {
-        self.lo.iter().sum()
+// Box arithmetic on bare slices, so that the R-tree can test and size the
+// boxes in its pages without building a `Rect` for each. A box `b` is
+// `lo` then `hi`; a point is its own two corners. `Rect` delegates here:
+// one arithmetic, one evaluation order.
+
+/// Resets box `b` to the empty box, the identity of [`grow`]: `lo = +inf`,
+/// `hi = -inf` on every axis.
+#[inline]
+pub(crate) fn clear(b: &mut [f64]) {
+    let (lo, hi) = b.split_at_mut(b.len() / 2);
+    lo.fill(f64::INFINITY);
+    hi.fill(f64::NEG_INFINITY);
+}
+
+/// Grows box `b` in place to cover the box with corners `lo`, `hi`.
+#[inline]
+pub(crate) fn grow(b: &mut [f64], lo: &[f64], hi: &[f64]) {
+    let (b_lo, b_hi) = b.split_at_mut(lo.len());
+    for i in 0..lo.len() {
+        if lo[i] < b_lo[i] {
+            b_lo[i] = lo[i];
+        }
+        if hi[i] > b_hi[i] {
+            b_hi[i] = hi[i];
+        }
     }
 }
 
-// Box arithmetic on bare corners (`lo == hi` for a point), so that the
-// R-tree can size points and MBRs without building a `Rect` for each.
-// `Rect::volume` and `Rect::union_volume` delegate here: one arithmetic,
-// one evaluation order.
+/// Whether boxes `a` and `b` share at least one point. Every axis is
+/// tested, without branching: for the few axes here that is faster than
+/// stopping at the first failing one, and it gives the same answer.
+#[inline]
+pub(crate) fn intersects(a: &[f64], b: &[f64]) -> bool {
+    let k = a.len() / 2;
+    let (a, b) = (&a[..2 * k], &b[..2 * k]);
+    let mut ok = true;
+    for i in 0..k {
+        ok &= (a[i] <= b[k + i]) & (b[i] <= a[k + i]);
+    }
+    ok
+}
+
+/// Whether the point `p` lies inside box `b` (boundaries inclusive),
+/// tested like [`intersects`].
+#[inline]
+pub(crate) fn contains(b: &[f64], p: &[f64]) -> bool {
+    let k = p.len();
+    let b = &b[..2 * k];
+    let mut ok = true;
+    for i in 0..k {
+        ok &= (b[i] <= p[i]) & (p[i] <= b[k + i]);
+    }
+    ok
+}
 
 /// Hyper-volume of the box with corners `lo`, `hi`.
 #[inline]
 pub(crate) fn volume(lo: &[f64], hi: &[f64]) -> f64 {
-    lo.iter().zip(hi).map(|(lo, hi)| hi - lo).product()
+    let hi = &hi[..lo.len()];
+    let mut v = 1.0;
+    for i in 0..lo.len() {
+        v *= hi[i] - lo[i];
+    }
+    v
 }
 
 /// Volume of the smallest box covering boxes `a` and `b`.
 #[inline]
 pub(crate) fn union_volume(a_lo: &[f64], a_hi: &[f64], b_lo: &[f64], b_hi: &[f64]) -> f64 {
-    a_lo.iter()
-        .zip(a_hi)
-        .zip(b_lo.iter().zip(b_hi))
-        .map(|((alo, ahi), (blo, bhi))| ahi.max(*bhi) - alo.min(*blo))
-        .product()
+    let k = a_lo.len();
+    let (a_hi, b_lo, b_hi) = (&a_hi[..k], &b_lo[..k], &b_hi[..k]);
+    let mut v = 1.0;
+    for i in 0..k {
+        v *= a_hi[i].max(b_hi[i]) - a_lo[i].min(b_lo[i]);
+    }
+    v
 }
 
 #[cfg(test)]
@@ -300,10 +302,11 @@ mod unit {
 
     #[test]
     fn empty_is_grow_identity() {
-        let mut e = Rect::empty(3);
+        let mut e = [0.0; 6];
+        clear(&mut e);
         let r = Rect::new(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]);
-        e.grow(&r);
-        assert_eq!(e, r);
+        grow(&mut e, r.lo(), r.hi());
+        assert_eq!(e[..], *r.corners());
     }
 
     #[test]

@@ -249,7 +249,8 @@ fn shape_digest(tree: &RTree) -> u64 {
     }
     fn walk(node: crate::NodeRef<'_>, h: &mut u64) {
         word(h, u64::from(node.is_leaf()));
-        for v in node.mbr().lo().iter().chain(node.mbr().hi()) {
+        let (lo, hi) = node.mbr();
+        for v in lo.iter().chain(hi) {
             word(h, v.to_bits());
         }
         for (coords, id) in node.points() {
@@ -267,25 +268,78 @@ fn shape_digest(tree: &RTree) -> u64 {
     h
 }
 
-#[test]
-fn insert_remove_shape_and_visit_order_are_pinned() {
-    // The skyline window's dominance-test counts depend on the tree's
-    // shape, its entry order and the window traversal order, so all three
-    // are pinned after a seeded mix of inserts (with splits) and removes
-    // (with condensing and reinsertion).
+/// How the pinned trees draw their coordinates.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Coords {
+    /// Uniform in `[0, 1)`: no ties.
+    Uniform,
+    /// The quarter grid `{0, 0.25, 0.5, 0.75}`: equal coordinates, equal
+    /// points and zero-volume boxes everywhere, and every seventh insert
+    /// re-inserts a copy of a live entry, so `remove` must pick the same
+    /// one of two identical entries.
+    QuarterGrid,
+}
+
+fn draw(rng: &mut StdRng, k: usize, kind: Coords) -> Vec<f64> {
+    match kind {
+        Coords::Uniform => (0..k).map(|_| rng.gen::<f64>()).collect(),
+        Coords::QuarterGrid => (0..k).map(|_| f64::from(rng.gen_range(0u32..4)) / 4.0).collect(),
+    }
+}
+
+/// A seeded mix of inserts (with splits) and removes (with condensing and
+/// reinsertion): 3000 inserts, every third followed by removing a random
+/// live entry. For `k = 8`, uniform, this is the tree the original pin
+/// was recorded on.
+fn churned_tree(k: usize, kind: Coords) -> (RTree, StdRng) {
     let mut rng = StdRng::seed_from_u64(0x7EE5);
-    let mut tree = RTree::new(8);
+    let mut tree = RTree::new(k);
     let mut live: Vec<(Vec<f64>, u64)> = Vec::new();
     for id in 0..3000u64 {
-        let coords: Vec<f64> = (0..8).map(|_| rng.gen::<f64>()).collect();
-        tree.insert(&coords, id);
-        live.push((coords, id));
+        let entry = match kind {
+            Coords::QuarterGrid if id % 7 == 3 => live[rng.gen_range(0..live.len())].clone(),
+            _ => (draw(&mut rng, k, kind), id),
+        };
+        tree.insert(&entry.0, entry.1);
+        live.push(entry);
         if id % 3 == 2 {
             let (coords, victim) = live.swap_remove(rng.gen_range(0..live.len()));
             assert!(tree.remove(&coords, victim));
         }
     }
     tree.check_invariants(true);
+    (tree, rng)
+}
+
+/// FNV-1a fold of the ids two window queries visit, per probe `p`, in
+/// visit order: `[0, p]` stopping at the first strict dominator (as the
+/// skyline window's dominance check does), and all of `[p, ∞)`.
+fn visit_digests(tree: &RTree, probes: &[Vec<f64>]) -> (u64, u64) {
+    let fold = |h: &mut u64, v: u64| *h = (*h ^ v).wrapping_mul(0x0100_0000_01b3);
+    let (mut down, mut up) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+    for p in probes {
+        tree.window(&Rect::from_origin(p), |c, id| {
+            fold(&mut down, id);
+            !c.iter().zip(p).any(|(a, b)| a < b)
+        });
+        fold(&mut down, u64::MAX);
+        tree.window(&Rect::to_infinity(p), |_, id| {
+            fold(&mut up, id);
+            true
+        });
+        fold(&mut up, u64::MAX);
+    }
+    (down, up)
+}
+
+#[test]
+fn insert_remove_shape_and_visit_order_are_pinned() {
+    // The skyline window's dominance-test counts depend on the tree's
+    // shape, its entry order and the window traversal order, so all three
+    // are pinned after a seeded mix of inserts (with splits) and removes
+    // (with condensing and reinsertion), at the window's dimensionalities
+    // and with and without coordinate ties.
+    let (tree, _) = churned_tree(8, Coords::Uniform);
     let mut visits = 0xcbf2_9ce4_8422_2325u64;
     tree.window(&Rect::from_origin(&[0.7; 8]), |_, id| {
         visits = (visits ^ id).wrapping_mul(0x0100_0000_01b3);
@@ -293,6 +347,61 @@ fn insert_remove_shape_and_visit_order_are_pinned() {
     });
     assert_eq!(tree.stats(), crate::TreeStats { len: 2000, height: 3, nodes: 195 });
     assert_eq!((shape_digest(&tree), visits), (15021306864244097934, 3034488160274493391));
+
+    // (k, coordinates, stats, shape digest, [0, p] and [p, ∞) visit digests)
+    type Row = (usize, Coords, (usize, usize, usize), u64, (u64, u64));
+    #[rustfmt::skip]
+    let table: [Row; 8] = [
+        (2, Coords::Uniform, (2000, 3, 205), 9248856998695073259, (8521031847956311691, 9523258715490096674)),
+        (3, Coords::Uniform, (2000, 3, 205), 9087723724620744663, (5491009578360347519, 5873545184352948866)),
+        (6, Coords::Uniform, (2000, 3, 186), 7201096988147625463, (8116264517758123591, 1618827093065838244)),
+        (8, Coords::Uniform, (2000, 3, 195), 15021306864244097934, (842818653680858211, 15020093523581714852)),
+        (2, Coords::QuarterGrid, (2000, 4, 314), 6619384501562478281, (12568270747025710220, 8912891682825653842)),
+        (3, Coords::QuarterGrid, (2000, 4, 314), 8209592684505268419, (4903506053289085603, 15436613059460488117)),
+        (6, Coords::QuarterGrid, (2000, 4, 316), 12209093813573906847, (6351459462525337683, 1441004062316769824)),
+        (8, Coords::QuarterGrid, (2000, 4, 312), 5362021736251129014, (16064637523681292057, 5524161551040278838)),
+    ];
+    let mut got = Vec::new();
+    for (k, kind, ..) in table {
+        let (tree, mut rng) = churned_tree(k, kind);
+        let probes: Vec<Vec<f64>> = (0..32).map(|_| draw(&mut rng, k, kind)).collect();
+        let s = tree.stats();
+        got.push((
+            k,
+            kind,
+            (s.len, s.height, s.nodes),
+            shape_digest(&tree),
+            visit_digests(&tree, &probes),
+        ));
+    }
+    assert_eq!(got, table);
+}
+
+#[test]
+fn bulk_load_shape_is_pinned() {
+    // BBS walks a bulk-loaded tree, so the STR packing order (a stable
+    // sort per axis, ties included) is pinned too.
+    #[rustfmt::skip]
+    let table: [(usize, Coords, u64); 8] = [
+        (2, Coords::Uniform, 11344305194222751054),
+        (3, Coords::Uniform, 5698972340035703488),
+        (6, Coords::Uniform, 12704704735549468515),
+        (8, Coords::Uniform, 4549977723961824775),
+        (2, Coords::QuarterGrid, 5433255646248385135),
+        (3, Coords::QuarterGrid, 11476891116302136586),
+        (6, Coords::QuarterGrid, 1496678796306608386),
+        (8, Coords::QuarterGrid, 16287866629060375953),
+    ];
+    let mut got = Vec::new();
+    for (k, kind, _) in table {
+        let mut rng = StdRng::seed_from_u64(0xB01C);
+        let pts: Vec<(Vec<f64>, u64)> = (0..1500).map(|i| (draw(&mut rng, k, kind), i)).collect();
+        let refs: Vec<(&[f64], u64)> = pts.iter().map(|(p, id)| (p.as_slice(), *id)).collect();
+        let tree = RTree::bulk_load(k, &refs);
+        tree.check_invariants(false);
+        got.push((k, kind, shape_digest(&tree)));
+    }
+    assert_eq!(got, table);
 }
 
 proptest! {
@@ -333,21 +442,31 @@ proptest! {
     }
 
     /// Random insert/remove interleavings agree with the oracle and keep
-    /// the structure valid.
+    /// the structure valid, at every dimensionality the window uses; the
+    /// two dominance windows `[0, p]` and `[p, ∞)` agree at the end.
     #[test]
     fn prop_dynamic_ops_match_oracle(
         ops in prop::collection::vec((prop::bool::ANY, 0u8..40, 0u8..40), 1..300),
-        dim in 1usize..4,
+        probes in prop::collection::vec((0u8..40, 0u8..40), 1..6),
+        dim in 1usize..=8,
     ) {
+        // Axis i takes a (even i) or b (odd i), shifted by 7 per pair of
+        // axes: few distinct values, so ties and duplicates are common.
+        let point = |a: u8, b: u8| -> Vec<f64> {
+            (0..dim)
+                .map(|i| {
+                    let v = if i % 2 == 0 { a } else { b };
+                    f64::from((u32::from(v) + 7 * (i as u32 / 2)) % 40) / 4.0
+                })
+                .collect()
+        };
         let mut tree = RTree::with_capacity_per_node(dim, 5);
         let mut oracle = Oracle::default();
         let mut next_id = 0u64;
         let mut live: Vec<(Vec<f64>, u64)> = Vec::new();
         for (is_insert, a, b) in ops {
             if is_insert || live.is_empty() {
-                let coords: Vec<f64> = (0..dim)
-                    .map(|i| f64::from(if i % 2 == 0 { a } else { b }) / 4.0)
-                    .collect();
+                let coords = point(a, b);
                 tree.insert(&coords, next_id);
                 oracle.insert(&coords, next_id);
                 live.push((coords, next_id));
@@ -363,6 +482,12 @@ proptest! {
         }
         let everything = Rect::new(&vec![0.0; dim], &vec![10.0; dim]);
         prop_assert_eq!(sorted(tree.window_collect(&everything)), sorted(oracle.window(&everything)));
+        for (a, b) in probes {
+            let p = point(a, b);
+            for w in [Rect::from_origin(&p), Rect::to_infinity(&p)] {
+                prop_assert_eq!(sorted(tree.window_collect(&w)), sorted(oracle.window(&w)));
+            }
+        }
     }
 
     /// Window queries over random boxes agree with linear scan.

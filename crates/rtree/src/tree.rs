@@ -1,46 +1,110 @@
-//! The R-tree proper: arena-backed Guttman R-tree over points.
+//! The R-tree proper: a Guttman R-tree over points whose nodes are pages
+//! in one arena.
+//!
+//! Every node is one page of `max_entries + 1` slots, so an overflowing
+//! node holds its extra entry until it splits. A leaf page holds its
+//! points' coordinates contiguously (`slots × dim` values) and their ids;
+//! an internal page holds its children's page ids and their bounding boxes
+//! contiguously (`slots × 2·dim` values), so a traversal tests every child
+//! box without touching the child. A node's box lives in its parent's page;
+//! the root's box lives in the tree. Released pages go on a free list of
+//! their kind and are reused. Nothing is allocated per entry, and once the arena and the
+//! scratch buffers have grown, inserts and removes allocate nothing.
 
 use crate::rect::{self, Rect};
 
 /// Default maximum number of entries per node.
 const DEFAULT_MAX: usize = 16;
 
-/// Index of a node inside the arena.
-type NodeId = usize;
+/// Index of a page inside the arena.
+type PageId = usize;
 
-/// A point stored in a leaf: its coordinates and a caller-supplied tag.
-#[derive(Clone, Debug)]
-struct PointEntry {
-    coords: Box<[f64]>,
-    id: u64,
-}
+/// Slot index meaning "no parent": the root's entry on a removal path.
+const NO_SLOT: usize = usize::MAX;
 
-/// One tree node. Leaves (`level == 0`) hold points; internal nodes hold
-/// child node ids. `mbr` always tightly bounds the node's contents.
-#[derive(Clone, Debug)]
-struct Node {
-    level: u32,
-    mbr: Rect,
-    children: Vec<NodeId>,
-    points: Vec<PointEntry>,
-}
-
-impl Node {
-    fn leaf(dim: usize) -> Self {
-        Node { level: 0, mbr: Rect::empty(dim), children: Vec::new(), points: Vec::new() }
-    }
-
-    fn internal(dim: usize, level: u32) -> Self {
-        Node { level, mbr: Rect::empty(dim), children: Vec::new(), points: Vec::new() }
-    }
-
-    fn entry_count(&self) -> usize {
-        if self.level == 0 {
-            self.points.len()
-        } else {
-            self.children.len()
+/// Evaluates `$body` with the constant `$k` equal to `$dim` for one to
+/// eight dimensions, and 0 above. Code that cuts its slices with [`fixed`]
+/// then has every loop over the axes unrolled: the volume arithmetic runs
+/// the same operations in the same order, without per-axis overhead.
+macro_rules! by_dim {
+    (@const $n:literal, $k:ident, $body:expr) => {{
+        const $k: usize = $n;
+        $body
+    }};
+    ($dim:expr, $k:ident => $body:expr) => {
+        match $dim {
+            1 => by_dim!(@const 1, $k, $body),
+            2 => by_dim!(@const 2, $k, $body),
+            3 => by_dim!(@const 3, $k, $body),
+            4 => by_dim!(@const 4, $k, $body),
+            5 => by_dim!(@const 5, $k, $body),
+            6 => by_dim!(@const 6, $k, $body),
+            7 => by_dim!(@const 7, $k, $body),
+            8 => by_dim!(@const 8, $k, $body),
+            _ => by_dim!(@const 0, $k, $body),
         }
+    };
+}
+
+/// The first `K` values of `v` (a point or a corner), a slice of constant
+/// length, or all of `v` when `K == 0`.
+#[inline(always)]
+fn fixed<const K: usize>(v: &[f64]) -> &[f64] {
+    if K == 0 {
+        v
+    } else {
+        &v[..K]
     }
+}
+
+/// [`fixed`] for a box: its first `2·K` values.
+#[inline(always)]
+fn fixed_box<const K: usize>(b: &[f64]) -> &[f64] {
+    if K == 0 {
+        b
+    } else {
+        &b[..2 * K]
+    }
+}
+
+/// A page's level (0 for a leaf), number of occupied slots, and where its
+/// values start in the arena.
+#[derive(Clone, Copy, Debug)]
+struct PageHead {
+    level: u32,
+    len: usize,
+    base: usize,
+}
+
+/// Guttman's quadratic split bookkeeping, kept between splits.
+#[derive(Clone, Debug, Default)]
+struct Partition {
+    volumes: Vec<f64>,
+    group_a: Vec<usize>,
+    group_b: Vec<usize>,
+    remaining: Vec<usize>,
+    /// The two groups' boxes, each `lo` then `hi`.
+    box_a: Vec<f64>,
+    box_b: Vec<f64>,
+    /// Per entry, the enlargement of each group's box to cover it.
+    enl_a: Vec<f64>,
+    enl_b: Vec<f64>,
+}
+
+/// Buffers one operation fills and the next reuses.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// A removal's root-to-leaf path: each page and its slot in its parent.
+    path: Vec<(PageId, usize)>,
+    /// Points of dissolved pages, in orphaning order, awaiting reinsertion.
+    orphan_ids: Vec<u64>,
+    orphan_coords: Vec<f64>,
+    /// The entries of the page being split.
+    split_ids: Vec<u64>,
+    split_vals: Vec<f64>,
+    part: Partition,
+    /// A box being folded from a page's entries.
+    fold: Vec<f64>,
 }
 
 /// Structural statistics, mainly for tests and benchmarks.
@@ -65,10 +129,22 @@ pub struct RTree {
     dim: usize,
     max_entries: usize,
     min_entries: usize,
-    nodes: Vec<Node>,
-    free: Vec<NodeId>,
-    root: NodeId,
+    /// Slots per page: `max_entries + 1`.
+    slots: usize,
+    /// Per page.
+    heads: Vec<PageHead>,
+    /// `slots` per page: a leaf's point ids, an internal page's child pages.
+    ids: Vec<u64>,
+    /// From each page's `base`: a leaf's coordinates (`slots × dim`
+    /// values) or an internal page's child boxes (`slots × 2·dim`).
+    vals: Vec<f64>,
+    /// Released leaf pages and released internal pages.
+    free: [Vec<PageId>; 2],
+    root: PageId,
+    /// The root page's box, `lo` then `hi`; the empty box for an empty tree.
+    root_box: Vec<f64>,
     len: usize,
+    scratch: Scratch,
 }
 
 impl RTree {
@@ -91,16 +167,24 @@ impl RTree {
     pub fn with_capacity_per_node(dim: usize, max_entries: usize) -> Self {
         assert!(dim > 0, "dimensionality must be positive");
         assert!(max_entries >= 4, "node capacity must be at least 4");
-        let root = Node::leaf(dim);
-        RTree {
+        let mut root_box = vec![0.0; 2 * dim];
+        rect::clear(&mut root_box);
+        let mut tree = RTree {
             dim,
             max_entries,
             min_entries: (max_entries * 2 / 5).max(1),
-            nodes: vec![root],
-            free: Vec::new(),
+            slots: max_entries + 1,
+            heads: Vec::new(),
+            ids: Vec::new(),
+            vals: Vec::new(),
+            free: [Vec::new(), Vec::new()],
             root: 0,
+            root_box,
             len: 0,
-        }
+            scratch: Scratch::default(),
+        };
+        tree.root = tree.alloc(0);
+        tree
     }
 
     /// Bulk-loads a tree from points using Sort-Tile-Recursive packing.
@@ -117,18 +201,18 @@ impl RTree {
         if points.is_empty() {
             return tree;
         }
-        let mut entries: Vec<PointEntry> = points
-            .iter()
-            .map(|(coords, id)| {
-                assert_eq!(coords.len(), dim, "point dimensionality mismatch");
-                PointEntry { coords: (*coords).into(), id: *id }
-            })
-            .collect();
-        tree.len = entries.len();
-
-        // Build the leaf level by recursive tiling, then pack upward.
-        let leaf_ids = tree.str_pack_leaves(&mut entries);
-        tree.root = tree.pack_levels(leaf_ids, 1);
+        for (coords, _) in points {
+            assert_eq!(coords.len(), dim, "point dimensionality mismatch");
+        }
+        tree.len = points.len();
+        // Build the leaf level by recursive tiling, then pack upward. The
+        // empty root page becomes the first leaf.
+        tree.release(tree.root);
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        let mut leaves = Vec::with_capacity(points.len().div_ceil(tree.max_entries));
+        tree.str_tile(points, &mut order, 0, &mut leaves);
+        tree.root = tree.pack_levels(leaves, 1);
+        tree.refold_root();
         tree
     }
 
@@ -157,31 +241,33 @@ impl RTree {
     ///
     /// Panics if `coords.len() != self.dim()`.
     pub fn insert(&mut self, coords: &[f64], id: u64) {
+        skypeer_obs::scope!("rtree::insert");
         assert_eq!(coords.len(), self.dim, "point dimensionality mismatch");
-        let entry = PointEntry { coords: coords.into(), id };
-        self.insert_entry(entry);
+        self.insert_entry(coords, id);
         self.len += 1;
     }
 
     /// Removes one entry with exactly these coordinates and tag. Returns
     /// whether an entry was found and removed.
     pub fn remove(&mut self, coords: &[f64], id: u64) -> bool {
+        skypeer_obs::scope!("rtree::remove");
         assert_eq!(coords.len(), self.dim, "point dimensionality mismatch");
-        let mut path = Vec::new();
-        if !self.find_path(self.root, coords, id, &mut path) {
-            return false;
+        let mut path = std::mem::take(&mut self.scratch.path);
+        path.clear();
+        let in_root = self.heads[self.root].len > 0 && rect::contains(&self.root_box, coords);
+        let slot = if in_root {
+            by_dim!(self.dim, K => self.find_path::<K>(self.root, NO_SLOT, coords, id, &mut path))
+        } else {
+            None
+        };
+        if let Some(slot) = slot {
+            let (leaf, _) = *path.last().expect("find_path returned an empty path");
+            self.swap_remove(leaf, slot);
+            self.len -= 1;
+            self.condense_path(&path);
         }
-        let leaf = *path.last().expect("find_path returned an empty path");
-        let node = &mut self.nodes[leaf];
-        let pos = node
-            .points
-            .iter()
-            .position(|p| p.id == id && *p.coords == *coords)
-            .expect("find_path returned a leaf without the entry");
-        node.points.swap_remove(pos);
-        self.len -= 1;
-        self.condense_path(&path);
-        true
+        self.scratch.path = path;
+        slot.is_some()
     }
 
     /// Visits every stored point whose coordinates lie inside `window`
@@ -193,7 +279,16 @@ impl RTree {
         if self.len == 0 {
             return true;
         }
-        self.window_rec(self.root, window, &mut visit)
+        by_dim!(self.dim, K => {
+            let window = fixed_box::<K>(window.corners());
+            if !rect::intersects(fixed_box::<K>(&self.root_box), window) {
+                true
+            } else if self.heads[self.root].level == 0 {
+                self.window_leaf::<K, F>(self.root, window, &mut visit)
+            } else {
+                self.window_internal::<K, F>(self.root, window, &mut visit)
+            }
+        })
     }
 
     /// Collects every `(coords, id)` inside `window`.
@@ -271,13 +366,17 @@ impl RTree {
         if k == 0 || self.is_empty() {
             return Vec::new();
         }
-        // Min-heap over (distance², seq) of nodes and points.
+        // Min-heap over (distance², seq) of pages and points.
+        #[derive(PartialEq)]
+        enum Item {
+            Page(PageId),
+            Point(PageId, usize),
+        }
         #[derive(PartialEq)]
         struct Cand {
             d2: f64,
             seq: u64,
-            node: Option<NodeId>,
-            point: Option<(Vec<f64>, u64)>,
+            item: Item,
         }
         impl Eq for Cand {}
         impl PartialOrd for Cand {
@@ -294,16 +393,16 @@ impl RTree {
                     .then_with(|| other.seq.cmp(&self.seq))
             }
         }
-        let mbr_dist2 = |r: &Rect, q: &[f64]| -> f64 {
-            q.iter()
+        let box_dist2 = |b: &[f64]| -> f64 {
+            let (lo, hi) = b.split_at(self.dim);
+            query
+                .iter()
                 .enumerate()
                 .map(|(i, &v)| {
-                    let lo = r.lo()[i];
-                    let hi = r.hi()[i];
-                    let d = if v < lo {
-                        lo - v
-                    } else if v > hi {
-                        v - hi
+                    let d = if v < lo[i] {
+                        lo[i] - v
+                    } else if v > hi[i] {
+                        v - hi[i]
                     } else {
                         0.0
                     };
@@ -312,51 +411,33 @@ impl RTree {
                 .sum()
         };
         let point_dist2 =
-            |p: &[f64], q: &[f64]| -> f64 { p.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum() };
+            |p: &[f64]| -> f64 { p.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum() };
 
         let mut heap = std::collections::BinaryHeap::new();
         let mut seq = 0u64;
-        heap.push(Cand {
-            d2: mbr_dist2(&self.nodes[self.root].mbr, query),
-            seq,
-            node: Some(self.root),
-            point: None,
-        });
+        heap.push(Cand { d2: box_dist2(&self.root_box), seq, item: Item::Page(self.root) });
         seq += 1;
         let mut out = Vec::with_capacity(k);
         while let Some(cand) = heap.pop() {
-            match (cand.node, cand.point) {
-                (Some(nid), _) => {
-                    let node = &self.nodes[nid];
-                    if node.level == 0 {
-                        for p in &node.points {
-                            heap.push(Cand {
-                                d2: point_dist2(&p.coords, query),
-                                seq,
-                                node: None,
-                                point: Some((p.coords.to_vec(), p.id)),
-                            });
-                            seq += 1;
-                        }
-                    } else {
-                        for &c in &node.children {
-                            heap.push(Cand {
-                                d2: mbr_dist2(&self.nodes[c].mbr, query),
-                                seq,
-                                node: Some(c),
-                                point: None,
-                            });
-                            seq += 1;
-                        }
+            match cand.item {
+                Item::Page(page) => {
+                    let PageHead { level, len, .. } = self.heads[page];
+                    for s in 0..len {
+                        let (d2, item) = if level == 0 {
+                            (point_dist2(self.point(page, s)), Item::Point(page, s))
+                        } else {
+                            (box_dist2(self.slot_box(page, s)), Item::Page(self.child(page, s)))
+                        };
+                        heap.push(Cand { d2, seq, item });
+                        seq += 1;
                     }
                 }
-                (None, Some(p)) => {
-                    out.push(p);
+                Item::Point(page, s) => {
+                    out.push((self.point(page, s).to_vec(), self.ids[self.id_base(page) + s]));
                     if out.len() == k {
                         break;
                     }
                 }
-                (None, None) => unreachable!("candidate is a node or a point"),
             }
         }
         out
@@ -366,12 +447,13 @@ impl RTree {
     pub fn iter_all(&self) -> Vec<(Vec<f64>, u64)> {
         let mut out = Vec::with_capacity(self.len);
         let mut stack = vec![self.root];
-        while let Some(nid) = stack.pop() {
-            let node = &self.nodes[nid];
-            if node.level == 0 {
-                out.extend(node.points.iter().map(|p| (p.coords.to_vec(), p.id)));
+        while let Some(page) = stack.pop() {
+            let PageHead { level, len, .. } = self.heads[page];
+            let ids = &self.ids[self.id_base(page)..][..len];
+            if level == 0 {
+                out.extend((0..len).map(|s| (self.point(page, s).to_vec(), ids[s])));
             } else {
-                stack.extend_from_slice(&node.children);
+                stack.extend(ids.iter().map(|&c| c as PageId));
             }
         }
         out
@@ -380,21 +462,21 @@ impl RTree {
     /// A read-only handle to the root node, for algorithms that steer
     /// their own traversal (e.g. best-first search in BBS).
     pub fn root(&self) -> NodeRef<'_> {
-        NodeRef { tree: self, id: self.root }
+        NodeRef { tree: self, page: self.root, bbox: &self.root_box }
     }
 
     /// Structural statistics (length, height, node count).
     pub fn stats(&self) -> TreeStats {
         let mut nodes = 0usize;
         let mut stack = vec![self.root];
-        while let Some(nid) = stack.pop() {
+        while let Some(page) = stack.pop() {
             nodes += 1;
-            let node = &self.nodes[nid];
-            if node.level > 0 {
-                stack.extend_from_slice(&node.children);
+            let PageHead { level, len, .. } = self.heads[page];
+            if level > 0 {
+                stack.extend(self.ids[self.id_base(page)..][..len].iter().map(|&c| c as PageId));
             }
         }
-        TreeStats { len: self.len, height: self.nodes[self.root].level as usize + 1, nodes }
+        TreeStats { len: self.len, height: self.heads[self.root].level as usize + 1, nodes }
     }
 
     /// Verifies every structural invariant, panicking with a description on
@@ -404,94 +486,220 @@ impl RTree {
     /// nodes. STR bulk loading legitimately produces one trailing underfull
     /// node per level, so pass `false` for bulk-loaded trees.
     pub fn check_invariants(&self, strict_fill: bool) {
+        let mut freed = vec![false; self.heads.len()];
+        for &page in self.free.iter().flatten() {
+            assert!(!freed[page], "page {page} released twice");
+            freed[page] = true;
+        }
         let mut counted = 0usize;
-        self.check_node(self.root, None, strict_fill, &mut counted);
+        self.check_page(self.root, None, &self.root_box, strict_fill, &freed, &mut counted);
         assert_eq!(counted, self.len, "stored length {} != counted points {}", self.len, counted);
     }
 
     // ------------------------------------------------------------------
-    // internals
+    // internals: the page layout
     // ------------------------------------------------------------------
 
-    fn alloc(&mut self, node: Node) -> NodeId {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id] = node;
-            id
+    fn id_base(&self, page: PageId) -> usize {
+        page * self.slots
+    }
+
+    fn val_base(&self, page: PageId) -> usize {
+        self.heads[page].base
+    }
+
+    /// Values per slot: a point's coordinates or a child's box.
+    fn width(&self, level: u32) -> usize {
+        if level == 0 {
+            self.dim
         } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
+            2 * self.dim
         }
     }
 
-    fn release(&mut self, id: NodeId) {
-        self.free.push(id);
+    /// Coordinates of the point in `slot` of leaf `page`.
+    fn point(&self, page: PageId, slot: usize) -> &[f64] {
+        &self.vals[self.val_base(page) + slot * self.dim..][..self.dim]
     }
 
-    fn check_node(
+    /// Box of the child in `slot` of internal `page`, `lo` then `hi`.
+    fn slot_box(&self, page: PageId, slot: usize) -> &[f64] {
+        &self.vals[self.val_base(page) + slot * 2 * self.dim..][..2 * self.dim]
+    }
+
+    fn slot_box_mut(&mut self, page: PageId, slot: usize) -> &mut [f64] {
+        let start = self.val_base(page) + slot * 2 * self.dim;
+        &mut self.vals[start..start + 2 * self.dim]
+    }
+
+    /// Page of the child in `slot` of internal `page`.
+    fn child(&self, page: PageId, slot: usize) -> PageId {
+        self.ids[self.id_base(page) + slot] as PageId
+    }
+
+    /// A page for a node at `level`: a released page of the same kind
+    /// (leaf or internal), or a new one at the end of the arena.
+    fn alloc(&mut self, level: u32) -> PageId {
+        if let Some(page) = self.free[usize::from(level > 0)].pop() {
+            let head = &mut self.heads[page];
+            (head.level, head.len) = (level, 0);
+            page
+        } else {
+            let base = self.vals.len();
+            self.heads.push(PageHead { level, len: 0, base });
+            self.ids.resize(self.ids.len() + self.slots, 0);
+            self.vals.resize(base + self.slots * self.width(level), 0.0);
+            self.heads.len() - 1
+        }
+    }
+
+    fn release(&mut self, page: PageId) {
+        self.free[usize::from(self.heads[page].level > 0)].push(page);
+    }
+
+    /// Appends a point to leaf `page`.
+    fn push_point(&mut self, page: PageId, coords: &[f64], id: u64) {
+        let slot = self.heads[page].len;
+        self.heads[page].len += 1;
+        let ib = self.id_base(page);
+        self.ids[ib + slot] = id;
+        let start = self.val_base(page) + slot * self.dim;
+        self.vals[start..start + self.dim].copy_from_slice(coords);
+    }
+
+    /// Appends `child` to internal `page`, with the child's tight box.
+    fn push_child(&mut self, page: PageId, child: PageId) {
+        let slot = self.heads[page].len;
+        self.heads[page].len += 1;
+        let ib = self.id_base(page);
+        self.ids[ib + slot] = child as u64;
+        self.refresh_slot(page, slot);
+    }
+
+    /// Removes the entry in `slot` of `page`, moving the last entry into
+    /// its place.
+    fn swap_remove(&mut self, page: PageId, slot: usize) {
+        let PageHead { level, len, .. } = self.heads[page];
+        let last = len - 1;
+        if slot != last {
+            let ib = self.id_base(page);
+            self.ids[ib + slot] = self.ids[ib + last];
+            let (vb, w) = (self.val_base(page), self.width(level));
+            self.vals.copy_within(vb + last * w..vb + len * w, vb + slot * w);
+        }
+        self.heads[page].len = last;
+    }
+
+    /// Folds the tight box of `page`'s entries into `out`, entry by entry
+    /// in slot order.
+    fn fold_page(&self, page: PageId, out: &mut [f64]) {
+        by_dim!(self.dim, K => self.fold_page_in::<K>(page, out))
+    }
+
+    fn fold_page_in<const K: usize>(&self, page: PageId, out: &mut [f64]) {
+        rect::clear(out);
+        let PageHead { level, len, .. } = self.heads[page];
+        for s in 0..len {
+            if level == 0 {
+                let p = fixed::<K>(self.point(page, s));
+                rect::grow(out, p, p);
+            } else {
+                let (lo, hi) = self.slot_box(page, s).split_at(self.dim);
+                rect::grow(out, fixed::<K>(lo), fixed::<K>(hi));
+            }
+        }
+    }
+
+    /// Recomputes the box in `slot` of `page` from the child's entries.
+    fn refresh_slot(&mut self, page: PageId, slot: usize) {
+        let mut b = std::mem::take(&mut self.scratch.fold);
+        b.resize(2 * self.dim, 0.0);
+        self.fold_page(self.child(page, slot), &mut b);
+        self.slot_box_mut(page, slot).copy_from_slice(&b);
+        self.scratch.fold = b;
+    }
+
+    /// Recomputes the root's box from its entries.
+    fn refold_root(&mut self) {
+        let mut b = std::mem::take(&mut self.root_box);
+        self.fold_page(self.root, &mut b);
+        self.root_box = b;
+    }
+
+    fn check_page(
         &self,
-        nid: NodeId,
+        page: PageId,
         expected_level: Option<u32>,
+        bbox: &[f64],
         strict_fill: bool,
+        freed: &[bool],
         counted: &mut usize,
     ) {
-        let node = &self.nodes[nid];
+        assert!(!freed[page], "reachable page {page} is on the free list");
+        let PageHead { level, len, .. } = self.heads[page];
         if let Some(lvl) = expected_level {
-            assert_eq!(node.level, lvl, "node {nid} at wrong level");
+            assert_eq!(level, lvl, "page {page} at wrong level");
         }
-        let is_root = nid == self.root;
-        let count = node.entry_count();
-        if !is_root {
-            assert!(count >= 1, "non-root node {nid} is empty");
+        if page != self.root {
+            assert!(len >= 1, "non-root page {page} is empty");
             if strict_fill {
                 assert!(
-                    count >= self.min_entries,
-                    "non-root node {nid} underfull: {count} < {}",
+                    len >= self.min_entries,
+                    "non-root page {page} underfull: {len} < {}",
                     self.min_entries
                 );
             }
         }
-        assert!(count <= self.max_entries, "node {nid} overfull: {count}");
-        if node.level == 0 {
-            assert!(node.children.is_empty(), "leaf {nid} has children");
-            *counted += node.points.len();
-            let mut mbr = Rect::empty(self.dim);
-            for p in &node.points {
-                mbr.grow_point(&p.coords);
-            }
-            if !node.points.is_empty() {
-                assert_eq!(mbr, node.mbr, "leaf {nid} MBR not tight");
+        assert!(len <= self.max_entries, "page {page} overfull: {len}");
+        let mut tight = vec![0.0; 2 * self.dim];
+        self.fold_page(page, &mut tight);
+        if level == 0 {
+            *counted += len;
+            if len > 0 {
+                assert_eq!(tight, bbox, "leaf {page} box not tight");
             }
         } else {
-            assert!(node.points.is_empty(), "internal node {nid} has points");
-            assert!(!node.children.is_empty(), "internal node {nid} childless");
-            let mut mbr = Rect::empty(self.dim);
-            for &c in &node.children {
-                mbr.grow(&self.nodes[c].mbr);
-                self.check_node(c, Some(node.level - 1), strict_fill, counted);
+            assert!(len > 0, "internal page {page} childless");
+            assert_eq!(tight, bbox, "internal page {page} box not tight");
+            for s in 0..len {
+                let child = self.child(page, s);
+                self.check_page(
+                    child,
+                    Some(level - 1),
+                    self.slot_box(page, s),
+                    strict_fill,
+                    freed,
+                    counted,
+                );
             }
-            assert_eq!(mbr, node.mbr, "internal node {nid} MBR not tight");
         }
     }
 
-    fn window_rec<F: FnMut(&[f64], u64) -> bool>(
+    // --- window and find ------------------------------------------------
+
+    /// The window visit below internal `page`: its children in slot
+    /// order, each entered only when its box meets `window` (`lo` then
+    /// `hi`).
+    fn window_internal<const K: usize, F: FnMut(&[f64], u64) -> bool>(
         &self,
-        nid: NodeId,
-        window: &Rect,
+        page: PageId,
+        window: &[f64],
         visit: &mut F,
     ) -> bool {
-        let node = &self.nodes[nid];
-        if node.entry_count() == 0 || !node.mbr.intersects(window) {
-            return true;
-        }
-        if node.level == 0 {
-            for p in &node.points {
-                if window.contains_point(&p.coords) && !visit(&p.coords, p.id) {
-                    return false;
-                }
-            }
-        } else {
-            for &c in &node.children {
-                if !self.window_rec(c, window, visit) {
+        let PageHead { level, len, .. } = self.heads[page];
+        let ids = &self.ids[self.id_base(page)..][..len];
+        let vals = &self.vals[self.val_base(page)..];
+        let w = 2 * self.dim;
+        for (s, &child) in ids.iter().enumerate() {
+            let b = fixed_box::<K>(&vals[s * w..(s + 1) * w]);
+            if rect::intersects(b, window) {
+                // Leaves are scanned in place, without a call per leaf.
+                let complete = if level == 1 {
+                    self.window_leaf::<K, F>(child as PageId, window, visit)
+                } else {
+                    self.window_internal::<K, F>(child as PageId, window, visit)
+                };
+                if !complete {
                     return false;
                 }
             }
@@ -499,80 +707,103 @@ impl RTree {
         true
     }
 
-    /// Finds the leaf holding an entry with these coordinates and id,
-    /// recording the root-to-leaf path in `path`. Returns whether found.
-    fn find_path(&self, nid: NodeId, coords: &[f64], id: u64, path: &mut Vec<NodeId>) -> bool {
-        let node = &self.nodes[nid];
-        if node.entry_count() == 0 || !node.mbr.contains_point(coords) {
-            return false;
-        }
-        path.push(nid);
-        if node.level == 0 {
-            if node.points.iter().any(|p| p.id == id && *p.coords == *coords) {
-                return true;
+    /// The window visit of leaf `page`: its points in slot order.
+    #[inline(always)]
+    fn window_leaf<const K: usize, F: FnMut(&[f64], u64) -> bool>(
+        &self,
+        page: PageId,
+        window: &[f64],
+        visit: &mut F,
+    ) -> bool {
+        let ids = &self.ids[self.id_base(page)..][..self.heads[page].len];
+        let vals = &self.vals[self.val_base(page)..];
+        for (s, &id) in ids.iter().enumerate() {
+            let p = fixed::<K>(&vals[s * self.dim..(s + 1) * self.dim]);
+            if rect::contains(window, p) && !visit(p, id) {
+                return false;
             }
-            path.pop();
-            return false;
         }
-        for &c in &node.children {
-            if self.find_path(c, coords, id, path) {
-                return true;
+        true
+    }
+
+    /// Finds the leaf holding an entry with these coordinates and id,
+    /// recording the path from `page` (in `slot` of its parent) to that
+    /// leaf in `path`. Returns the entry's slot in the leaf: the first
+    /// match in slot order, in the first leaf in depth-first order.
+    fn find_path<const K: usize>(
+        &self,
+        page: PageId,
+        slot: usize,
+        coords: &[f64],
+        id: u64,
+        path: &mut Vec<(PageId, usize)>,
+    ) -> Option<usize> {
+        path.push((page, slot));
+        let PageHead { level, len, .. } = self.heads[page];
+        let ids = &self.ids[self.id_base(page)..][..len];
+        if level == 0 {
+            let found = (0..len).find(|&s| ids[s] == id && self.point(page, s) == coords);
+            if found.is_some() {
+                return found;
+            }
+        } else {
+            for (s, &child) in ids.iter().enumerate() {
+                if rect::contains(fixed_box::<K>(self.slot_box(page, s)), fixed::<K>(coords)) {
+                    if let Some(found) = self.find_path::<K>(child as PageId, s, coords, id, path) {
+                        return Some(found);
+                    }
+                }
             }
         }
         path.pop();
-        false
+        None
     }
 
     // --- insertion -----------------------------------------------------
 
-    fn insert_entry(&mut self, entry: PointEntry) {
-        if let Some(new_node) = self.insert_rec(self.root, entry) {
-            self.grow_root(new_node);
+    fn insert_entry(&mut self, coords: &[f64], id: u64) {
+        rect::grow(&mut self.root_box, coords, coords);
+        if let Some(sibling) = self.insert_into(self.root, coords, id) {
+            self.grow_root(sibling);
         }
     }
 
-    /// Recursive insert. Returns a freshly split-off sibling of `nid` if the
-    /// node overflowed, to be installed by the caller.
-    fn insert_rec(&mut self, nid: NodeId, entry: PointEntry) -> Option<NodeId> {
-        let node = &mut self.nodes[nid];
-        if node.level == 0 {
-            if node.points.is_empty() {
-                node.mbr.set_point(&entry.coords);
-            } else {
-                node.mbr.grow_point(&entry.coords);
-            }
-            node.points.push(entry);
-            if node.points.len() > self.max_entries {
-                return Some(self.split_leaf(nid));
-            }
-            return None;
+    /// Recursive insert into `page`, whose box already covers the point.
+    /// Returns a freshly split-off sibling of `page` if it overflowed, to
+    /// be installed by the caller.
+    fn insert_into(&mut self, page: PageId, coords: &[f64], id: u64) -> Option<PageId> {
+        if self.heads[page].level == 0 {
+            self.push_point(page, coords, id);
+        } else {
+            // The subtree gains exactly this point, and a split below only
+            // redistributes it, so the chosen child's box grows in place.
+            let slot = self.choose_subtree(page, coords);
+            rect::grow(self.slot_box_mut(page, slot), coords, coords);
+            let sibling = self.insert_into(self.child(page, slot), coords, id)?;
+            self.refresh_slot(page, slot);
+            self.push_child(page, sibling);
         }
-
-        // The subtree gains exactly this point, and a split below only
-        // redistributes it, so the tight MBR grows by the point in place.
-        node.mbr.grow_point(&entry.coords);
-        let chosen = self.choose_subtree(nid, &entry.coords);
-        if let Some(sibling) = self.insert_rec(chosen, entry) {
-            self.nodes[nid].children.push(sibling);
-            if self.nodes[nid].children.len() > self.max_entries {
-                return Some(self.split_internal(nid));
-            }
-        }
-        None
+        (self.heads[page].len > self.max_entries).then(|| self.split(page))
     }
 
     /// Guttman's ChooseLeaf step: least enlargement, ties by least volume.
-    fn choose_subtree(&self, nid: NodeId, point: &[f64]) -> NodeId {
-        let node = &self.nodes[nid];
-        let mut best = node.children[0];
+    /// Returns the chosen slot.
+    fn choose_subtree(&self, page: PageId, point: &[f64]) -> usize {
+        by_dim!(self.dim, K => self.choose_subtree_in::<K>(page, point))
+    }
+
+    fn choose_subtree_in<const K: usize>(&self, page: PageId, point: &[f64]) -> usize {
+        let point = fixed::<K>(point);
+        let mut best = 0;
         let mut best_enl = f64::INFINITY;
         let mut best_vol = f64::INFINITY;
-        for &c in &node.children {
-            let mbr = &self.nodes[c].mbr;
-            let vol = mbr.volume();
-            let enl = rect::union_volume(mbr.lo(), mbr.hi(), point, point) - vol;
+        for s in 0..self.heads[page].len {
+            let (lo, hi) = self.slot_box(page, s).split_at(self.dim);
+            let (lo, hi) = (fixed::<K>(lo), fixed::<K>(hi));
+            let vol = rect::volume(lo, hi);
+            let enl = rect::union_volume(lo, hi, point, point) - vol;
             if enl < best_enl || (enl == best_enl && vol < best_vol) {
-                best = c;
+                best = s;
                 best_enl = enl;
                 best_vol = vol;
             }
@@ -580,174 +811,57 @@ impl RTree {
         best
     }
 
-    fn grow_root(&mut self, sibling: NodeId) {
+    fn grow_root(&mut self, sibling: PageId) {
         let old_root = self.root;
-        let level = self.nodes[old_root].level + 1;
-        let mut new_root = Node::internal(self.dim, level);
-        new_root.children.push(old_root);
-        new_root.children.push(sibling);
-        let rid = self.alloc(new_root);
-        self.root = rid;
-        self.recompute_mbr(rid);
-    }
-
-    /// Recomputes the tight MBR of `nid` from its contents, reusing the
-    /// node's own rectangle.
-    fn recompute_mbr(&mut self, nid: NodeId) {
-        let mut mbr = std::mem::replace(&mut self.nodes[nid].mbr, Rect::placeholder());
-        mbr.clear();
-        let node = &self.nodes[nid];
-        if node.level == 0 {
-            for p in &node.points {
-                mbr.grow_point(&p.coords);
-            }
-        } else {
-            for &c in &node.children {
-                mbr.grow(&self.nodes[c].mbr);
-            }
-        }
-        self.nodes[nid].mbr = mbr;
+        let root = self.alloc(self.heads[old_root].level + 1);
+        self.push_child(root, old_root);
+        self.push_child(root, sibling);
+        self.root = root;
+        self.refold_root();
     }
 
     // --- quadratic split -----------------------------------------------
 
-    fn split_leaf(&mut self, nid: NodeId) -> NodeId {
-        let points = std::mem::take(&mut self.nodes[nid].points);
-        let (left_idx, right_idx) =
-            self.quadratic_partition(points.len(), |i| (&points[i].coords, &points[i].coords));
-        let mut right_points = Vec::with_capacity(right_idx.len());
-        let mut left_points = Vec::with_capacity(left_idx.len());
-        let mut points: Vec<Option<PointEntry>> = points.into_iter().map(Some).collect();
-        for i in left_idx {
-            left_points.push(points[i].take().expect("index assigned twice in split"));
-        }
-        for i in right_idx {
-            right_points.push(points[i].take().expect("index assigned twice in split"));
-        }
-        self.nodes[nid].points = left_points;
-        self.recompute_mbr(nid);
-        let mut sibling = Node::leaf(self.dim);
-        sibling.points = right_points;
-        let sid = self.alloc(sibling);
-        self.recompute_mbr(sid);
-        sid
-    }
-
-    fn split_internal(&mut self, nid: NodeId) -> NodeId {
-        let children = std::mem::take(&mut self.nodes[nid].children);
-        let (left_idx, right_idx) = self.quadratic_partition(children.len(), |i| {
-            let mbr = &self.nodes[children[i]].mbr;
-            (mbr.lo(), mbr.hi())
-        });
-        let left: Vec<NodeId> = left_idx.iter().map(|&i| children[i]).collect();
-        let right: Vec<NodeId> = right_idx.iter().map(|&i| children[i]).collect();
-        let level = self.nodes[nid].level;
-        self.nodes[nid].children = left;
-        self.recompute_mbr(nid);
-        let mut sibling = Node::internal(self.dim, level);
-        sibling.children = right;
-        let sid = self.alloc(sibling);
-        self.recompute_mbr(sid);
-        sid
-    }
-
-    /// Guttman's quadratic split over `n` boxes, box `i` given by its
-    /// corners `corners(i)`: returns the two index groups. Both groups are
-    /// guaranteed at least `min_entries` members (assuming
-    /// `n > max_entries >= 2 * min_entries`).
-    ///
-    /// Each box's volume is computed once, and each group MBR's volume once
-    /// per PickNext round; every value equals what the per-use
-    /// [`Rect::volume`]/[`Rect::enlargement`] calls produce, so the split
-    /// is the same.
-    fn quadratic_partition<'a>(
-        &self,
-        n: usize,
-        corners: impl Fn(usize) -> (&'a [f64], &'a [f64]),
-    ) -> (Vec<usize>, Vec<usize>) {
-        debug_assert!(n >= 2);
-        let volumes: Vec<f64> = (0..n)
-            .map(|i| {
-                let (lo, hi) = corners(i);
-                rect::volume(lo, hi)
-            })
-            .collect();
-
-        // PickSeeds: the pair wasting the most area together.
-        let (mut seed_a, mut seed_b, mut worst) = (0, 1, f64::NEG_INFINITY);
-        for i in 0..n {
-            let (lo_i, hi_i) = corners(i);
-            for j in (i + 1)..n {
-                let (lo_j, hi_j) = corners(j);
-                let waste = rect::union_volume(lo_i, hi_i, lo_j, hi_j) - volumes[i] - volumes[j];
-                if waste > worst {
-                    worst = waste;
-                    seed_a = i;
-                    seed_b = j;
-                }
-            }
-        }
-
-        let mut group_a = vec![seed_a];
-        let mut group_b = vec![seed_b];
-        let (lo, hi) = corners(seed_a);
-        let mut mbr_a = Rect::from_corners(lo, hi);
-        let (lo, hi) = corners(seed_b);
-        let mut mbr_b = Rect::from_corners(lo, hi);
-        let mut remaining: Vec<usize> = (0..n).filter(|&i| i != seed_a && i != seed_b).collect();
-
-        while !remaining.is_empty() {
-            // If one group must absorb everything to reach minimum fill, do it.
-            if group_a.len() + remaining.len() <= self.min_entries {
-                group_a.append(&mut remaining);
-                break;
-            }
-            if group_b.len() + remaining.len() <= self.min_entries {
-                group_b.append(&mut remaining);
-                break;
-            }
-            // PickNext: entry with maximal preference difference.
-            let (va, vb) = (mbr_a.volume(), mbr_b.volume());
-            let enlargements = |i: usize| {
-                let (lo, hi) = corners(i);
-                (
-                    rect::union_volume(mbr_a.lo(), mbr_a.hi(), lo, hi) - va,
-                    rect::union_volume(mbr_b.lo(), mbr_b.hi(), lo, hi) - vb,
-                )
-            };
-            let (mut pick_pos, mut pick_diff) = (0, f64::NEG_INFINITY);
-            for (pos, &i) in remaining.iter().enumerate() {
-                let (da, db) = enlargements(i);
-                let diff = (da - db).abs();
-                if diff > pick_diff {
-                    pick_diff = diff;
-                    pick_pos = pos;
-                }
-            }
-            let i = remaining.swap_remove(pick_pos);
-            let (da, db) = enlargements(i);
-            // Prefer smaller enlargement; break ties by volume then count.
-            let to_a = match da.partial_cmp(&db) {
-                Some(std::cmp::Ordering::Less) => true,
-                Some(std::cmp::Ordering::Greater) => false,
-                _ => {
-                    if va != vb {
-                        va < vb
-                    } else {
-                        group_a.len() <= group_b.len()
-                    }
-                }
-            };
-            let (lo, hi) = corners(i);
-            if to_a {
-                group_a.push(i);
-                mbr_a.grow_corners(lo, hi);
+    /// Splits an overflowing `page`: the first group of the quadratic
+    /// partition stays in `page`, the second moves to a new sibling page,
+    /// each in group order. Returns the sibling.
+    fn split(&mut self, page: PageId) -> PageId {
+        let PageHead { level, len: n, .. } = self.heads[page];
+        let (dim, w) = (self.dim, self.width(level));
+        let (ib, vb) = (self.id_base(page), self.val_base(page));
+        let s = &mut self.scratch;
+        s.split_ids.clear();
+        s.split_ids.extend_from_slice(&self.ids[ib..ib + n]);
+        s.split_vals.clear();
+        s.split_vals.extend_from_slice(&self.vals[vb..vb + n * w]);
+        let vals = &s.split_vals;
+        let corners = |i: usize| {
+            let row = &vals[i * w..(i + 1) * w];
+            if level == 0 {
+                (row, row)
             } else {
-                group_b.push(i);
-                mbr_b.grow_corners(lo, hi);
+                row.split_at(dim)
             }
+        };
+        by_dim!(dim, K => quadratic_partition::<K>(&mut s.part, n, self.min_entries, corners));
+        self.fill_from_split(page, false);
+        let sibling = self.alloc(level);
+        self.fill_from_split(sibling, true);
+        sibling
+    }
+
+    /// Writes one group of the split in progress into `page`.
+    fn fill_from_split(&mut self, page: PageId, second: bool) {
+        let w = self.width(self.heads[page].level);
+        let (ib, vb) = (self.id_base(page), self.val_base(page));
+        let s = &self.scratch;
+        let group = if second { &s.part.group_b } else { &s.part.group_a };
+        for (slot, &i) in group.iter().enumerate() {
+            self.ids[ib + slot] = s.split_ids[i];
+            self.vals[vb + slot * w..vb + (slot + 1) * w]
+                .copy_from_slice(&s.split_vals[i * w..(i + 1) * w]);
         }
-        (group_a, group_b)
+        self.heads[page].len = group.len();
     }
 
     // --- deletion --------------------------------------------------------
@@ -755,121 +869,240 @@ impl RTree {
     /// After removing a point from the leaf at the end of `path`, restore
     /// invariants along the root path only (Guttman's CondenseTree):
     /// dissolve underfull nodes bottom-up, reinsert their orphaned points,
-    /// and tighten ancestor MBRs.
-    fn condense_path(&mut self, path: &[NodeId]) {
-        let mut orphaned: Vec<PointEntry> = Vec::new();
+    /// and tighten ancestor boxes.
+    fn condense_path(&mut self, path: &[(PageId, usize)]) {
+        let mut orphan_ids = std::mem::take(&mut self.scratch.orphan_ids);
+        let mut orphan_coords = std::mem::take(&mut self.scratch.orphan_coords);
         for i in (1..path.len()).rev() {
-            let nid = path[i];
-            let parent = path[i - 1];
-            if self.nodes[nid].entry_count() < self.min_entries {
-                let pos = self.nodes[parent]
-                    .children
-                    .iter()
-                    .position(|&c| c == nid)
-                    .expect("condense path child not under its parent");
-                self.nodes[parent].children.swap_remove(pos);
-                self.orphan_subtree(nid, &mut orphaned);
+            let (page, slot) = path[i];
+            let parent = path[i - 1].0;
+            if self.heads[page].len < self.min_entries {
+                self.swap_remove(parent, slot);
+                self.orphan_subtree(page, &mut orphan_ids, &mut orphan_coords);
             } else {
-                self.recompute_mbr(nid);
+                self.refresh_slot(parent, slot);
             }
         }
-        self.recompute_mbr(self.root);
-        // Shrink a root that lost all but one child.
-        while self.nodes[self.root].level > 0 && self.nodes[self.root].children.len() == 1 {
-            let only = self.nodes[self.root].children[0];
+        self.refold_root();
+        // Shrink a root that lost all but one child; its box is that
+        // child's box.
+        while self.heads[self.root].level > 0 && self.heads[self.root].len == 1 {
+            let only = self.child(self.root, 0);
             self.release(self.root);
             self.root = only;
         }
-        if self.nodes[self.root].level > 0 && self.nodes[self.root].children.is_empty() {
+        if self.heads[self.root].level > 0 && self.heads[self.root].len == 0 {
             // Everything was deleted: reset to an empty leaf root.
-            let dim = self.dim;
             self.release(self.root);
-            let leaf = self.alloc(Node::leaf(dim));
-            self.root = leaf;
+            self.root = self.alloc(0);
         }
-        for entry in orphaned {
-            self.insert_entry(entry);
+        for (i, &id) in orphan_ids.iter().enumerate() {
+            self.insert_entry(&orphan_coords[i * self.dim..(i + 1) * self.dim], id);
         }
+        orphan_ids.clear();
+        orphan_coords.clear();
+        self.scratch.orphan_ids = orphan_ids;
+        self.scratch.orphan_coords = orphan_coords;
     }
 
-    fn orphan_subtree(&mut self, nid: NodeId, orphaned: &mut Vec<PointEntry>) {
-        let node = std::mem::replace(&mut self.nodes[nid], Node::leaf(self.dim));
-        if node.level == 0 {
-            orphaned.extend(node.points);
+    /// Appends every point below `page` to the orphans, leaves' points in
+    /// slot order and children in slot order, releasing each page after
+    /// its children.
+    fn orphan_subtree(&mut self, page: PageId, ids: &mut Vec<u64>, coords: &mut Vec<f64>) {
+        let PageHead { level, len, .. } = self.heads[page];
+        let ib = self.id_base(page);
+        if level == 0 {
+            let vb = self.val_base(page);
+            ids.extend_from_slice(&self.ids[ib..ib + len]);
+            coords.extend_from_slice(&self.vals[vb..vb + len * self.dim]);
         } else {
-            for c in node.children {
-                self.orphan_subtree(c, orphaned);
+            for s in 0..len {
+                let child = self.ids[ib + s] as PageId;
+                self.orphan_subtree(child, ids, coords);
             }
         }
-        self.release(nid);
+        self.release(page);
     }
 
     // --- STR bulk load ---------------------------------------------------
 
-    /// Packs point entries into leaves via Sort-Tile-Recursive and returns
-    /// the leaf node ids in packing order.
-    fn str_pack_leaves(&mut self, entries: &mut [PointEntry]) -> Vec<NodeId> {
-        let cap = self.max_entries;
-        let mut leaves = Vec::with_capacity(entries.len().div_ceil(cap));
-        self.str_tile(entries, 0, cap, &mut |tree: &mut Self, chunk: &mut [PointEntry]| {
-            let mut leaf = Node::leaf(tree.dim);
-            leaf.points = chunk.to_vec();
-            let id = tree.alloc(leaf);
-            tree.recompute_mbr(id);
-            leaves.push(id);
-        });
-        leaves
-    }
-
-    /// Recursive tiling: sort by `axis`, cut into slabs sized so that the
-    /// remaining axes can tile each slab, recurse; emit chunks of `cap` at
-    /// the final axis.
+    /// Recursive tiling over the indices `order` into `points`: sort by
+    /// `axis` (stably), cut into slabs sized so that the remaining axes can
+    /// tile each slab, recurse; at the final axis, pack chunks of
+    /// `max_entries` into leaves, appended to `leaves` in packing order.
     fn str_tile(
         &mut self,
-        entries: &mut [PointEntry],
+        points: &[(&[f64], u64)],
+        order: &mut [usize],
         axis: usize,
-        cap: usize,
-        emit: &mut impl FnMut(&mut Self, &mut [PointEntry]),
+        leaves: &mut Vec<PageId>,
     ) {
-        if entries.is_empty() {
+        if order.is_empty() {
             return;
         }
-        if axis + 1 == self.dim || entries.len() <= cap {
-            entries.sort_by(|a, b| {
-                a.coords[axis].partial_cmp(&b.coords[axis]).expect("NaN coordinate in R-tree")
-            });
-            for chunk in entries.chunks_mut(cap) {
-                emit(self, chunk);
+        let cap = self.max_entries;
+        order.sort_by(|&a, &b| {
+            points[a].0[axis].partial_cmp(&points[b].0[axis]).expect("NaN coordinate in R-tree")
+        });
+        if axis + 1 == self.dim || order.len() <= cap {
+            for chunk in order.chunks(cap) {
+                let leaf = self.alloc(0);
+                for &i in chunk {
+                    self.push_point(leaf, points[i].0, points[i].1);
+                }
+                leaves.push(leaf);
             }
             return;
         }
-        entries.sort_by(|a, b| {
-            a.coords[axis].partial_cmp(&b.coords[axis]).expect("NaN coordinate in R-tree")
-        });
-        let n_leaves = entries.len().div_ceil(cap);
+        let n_leaves = order.len().div_ceil(cap);
         let remaining_axes = (self.dim - axis) as f64;
         let slabs = (n_leaves as f64).powf(1.0 / remaining_axes).ceil() as usize;
-        let slab_size = entries.len().div_ceil(slabs.max(1));
-        for slab in entries.chunks_mut(slab_size.max(1)) {
-            self.str_tile(slab, axis + 1, cap, emit);
+        let slab_size = order.len().div_ceil(slabs.max(1));
+        for slab in order.chunks_mut(slab_size.max(1)) {
+            self.str_tile(points, slab, axis + 1, leaves);
         }
     }
 
-    /// Packs one level of nodes into parents until a single root remains.
-    fn pack_levels(&mut self, mut level_nodes: Vec<NodeId>, mut level: u32) -> NodeId {
-        while level_nodes.len() > 1 {
-            let mut parents = Vec::with_capacity(level_nodes.len().div_ceil(self.max_entries));
-            for chunk in level_nodes.chunks(self.max_entries) {
-                let mut parent = Node::internal(self.dim, level);
-                parent.children = chunk.to_vec();
-                let pid = self.alloc(parent);
-                self.recompute_mbr(pid);
-                parents.push(pid);
+    /// Packs one level of pages into parents until a single root remains.
+    fn pack_levels(&mut self, mut level_pages: Vec<PageId>, mut level: u32) -> PageId {
+        while level_pages.len() > 1 {
+            let mut parents = Vec::with_capacity(level_pages.len().div_ceil(self.max_entries));
+            for chunk in level_pages.chunks(self.max_entries) {
+                let parent = self.alloc(level);
+                for &child in chunk {
+                    self.push_child(parent, child);
+                }
+                parents.push(parent);
             }
-            level_nodes = parents;
+            level_pages = parents;
             level += 1;
         }
-        level_nodes.pop().expect("pack_levels called with no nodes")
+        level_pages.pop().expect("pack_levels called with no pages")
+    }
+}
+
+/// Guttman's quadratic split over `n` boxes, box `i` given by its corners
+/// `corners(i)`: leaves the two index groups in `p.group_a` and
+/// `p.group_b`. Both groups get at least `min_entries` members (assuming
+/// `n > max_entries >= 2 * min_entries`).
+///
+/// Each box's volume is computed once, and a group's volume and its
+/// enlargements only after that group's box grew; every value equals what
+/// the per-use [`Rect::volume`]/[`Rect::enlargement`] calls produce, so the
+/// split is the same.
+fn quadratic_partition<'a, const K: usize>(
+    p: &mut Partition,
+    n: usize,
+    min_entries: usize,
+    corners: impl Fn(usize) -> (&'a [f64], &'a [f64]),
+) {
+    debug_assert!(n >= 2);
+    let corners = |i| {
+        let (lo, hi) = corners(i);
+        (fixed::<K>(lo), fixed::<K>(hi))
+    };
+    p.volumes.clear();
+    p.volumes.extend((0..n).map(|i| {
+        let (lo, hi) = corners(i);
+        rect::volume(lo, hi)
+    }));
+
+    // PickSeeds: the pair wasting the most area together.
+    let (mut seed_a, mut seed_b, mut worst) = (0, 1, f64::NEG_INFINITY);
+    for i in 0..n {
+        let (lo_i, hi_i) = corners(i);
+        for j in (i + 1)..n {
+            let (lo_j, hi_j) = corners(j);
+            let waste = rect::union_volume(lo_i, hi_i, lo_j, hi_j) - p.volumes[i] - p.volumes[j];
+            if waste > worst {
+                worst = waste;
+                seed_a = i;
+                seed_b = j;
+            }
+        }
+    }
+
+    let Partition { group_a, group_b, remaining, box_a, box_b, enl_a, enl_b, .. } = p;
+    group_a.clear();
+    group_a.push(seed_a);
+    group_b.clear();
+    group_b.push(seed_b);
+    for (b, seed) in [(&mut *box_a, seed_a), (&mut *box_b, seed_b)] {
+        let (lo, hi) = corners(seed);
+        b.clear();
+        b.extend_from_slice(lo);
+        b.extend_from_slice(hi);
+    }
+    let dim = box_a.len() / 2;
+    remaining.clear();
+    remaining.extend((0..n).filter(|&i| i != seed_a && i != seed_b));
+    enl_a.resize(n, 0.0);
+    enl_b.resize(n, 0.0);
+    // Each group's volume and the enlargements of the remaining entries
+    // against it; stale once the group's box has grown.
+    let (mut va, mut vb, mut stale_a, mut stale_b) = (0.0, 0.0, true, true);
+    let refresh = |b: &[f64], enl: &mut [f64], remaining: &[usize]| {
+        let (b_lo, b_hi) = b.split_at(dim);
+        let (b_lo, b_hi) = (fixed::<K>(b_lo), fixed::<K>(b_hi));
+        let v = rect::volume(b_lo, b_hi);
+        for &i in remaining {
+            let (lo, hi) = corners(i);
+            enl[i] = rect::union_volume(b_lo, b_hi, lo, hi) - v;
+        }
+        v
+    };
+
+    while !remaining.is_empty() {
+        // If one group must absorb everything to reach minimum fill, do it.
+        if group_a.len() + remaining.len() <= min_entries {
+            group_a.append(remaining);
+            break;
+        }
+        if group_b.len() + remaining.len() <= min_entries {
+            group_b.append(remaining);
+            break;
+        }
+        if stale_a {
+            va = refresh(box_a, enl_a, remaining);
+            stale_a = false;
+        }
+        if stale_b {
+            vb = refresh(box_b, enl_b, remaining);
+            stale_b = false;
+        }
+        // PickNext: entry with maximal preference difference.
+        let (mut pick_pos, mut pick_diff) = (0, f64::NEG_INFINITY);
+        for (pos, &i) in remaining.iter().enumerate() {
+            let diff = (enl_a[i] - enl_b[i]).abs();
+            if diff > pick_diff {
+                pick_diff = diff;
+                pick_pos = pos;
+            }
+        }
+        let i = remaining.swap_remove(pick_pos);
+        let (da, db) = (enl_a[i], enl_b[i]);
+        // Prefer smaller enlargement; break ties by volume then count.
+        let to_a = match da.partial_cmp(&db) {
+            Some(std::cmp::Ordering::Less) => true,
+            Some(std::cmp::Ordering::Greater) => false,
+            _ => {
+                if va != vb {
+                    va < vb
+                } else {
+                    group_a.len() <= group_b.len()
+                }
+            }
+        };
+        let (lo, hi) = corners(i);
+        if to_a {
+            group_a.push(i);
+            rect::grow(box_a, lo, hi);
+            stale_a = true;
+        } else {
+            group_b.push(i);
+            rect::grow(box_b, lo, hi);
+            stale_b = true;
+        }
     }
 }
 
@@ -877,29 +1110,39 @@ impl RTree {
 #[derive(Clone, Copy)]
 pub struct NodeRef<'a> {
     tree: &'a RTree,
-    id: NodeId,
+    page: PageId,
+    /// The node's box, held by its parent's page (or the tree, for the
+    /// root).
+    bbox: &'a [f64],
 }
 
 impl<'a> NodeRef<'a> {
-    /// The node's minimum bounding rectangle. Meaningless (inverted
-    /// "empty" box) only for an empty root leaf.
-    pub fn mbr(&self) -> &'a Rect {
-        &self.tree.nodes[self.id].mbr
+    /// The node's minimum bounding box as its two corners `(lo, hi)`.
+    /// Meaningless (inverted "empty" box) only for an empty root leaf.
+    pub fn mbr(&self) -> (&'a [f64], &'a [f64]) {
+        self.bbox.split_at(self.tree.dim)
     }
 
     /// Whether this is a leaf node.
     pub fn is_leaf(&self) -> bool {
-        self.tree.nodes[self.id].level == 0
+        self.tree.heads[self.page].level == 0
     }
 
     /// Child nodes (empty for leaves).
-    pub fn children(&self) -> impl Iterator<Item = NodeRef<'a>> + '_ {
-        let tree = self.tree;
-        self.tree.nodes[self.id].children.iter().map(move |&c| NodeRef { tree, id: c })
+    pub fn children(&self) -> impl Iterator<Item = NodeRef<'a>> + 'a {
+        let (tree, page) = (self.tree, self.page);
+        let n = if self.is_leaf() { 0 } else { tree.heads[page].len };
+        (0..n).map(move |s| NodeRef {
+            tree,
+            page: tree.child(page, s),
+            bbox: tree.slot_box(page, s),
+        })
     }
 
     /// Points stored in this leaf (empty for internal nodes).
-    pub fn points(&self) -> impl Iterator<Item = (&'a [f64], u64)> + '_ {
-        self.tree.nodes[self.id].points.iter().map(|p| (&*p.coords, p.id))
+    pub fn points(&self) -> impl Iterator<Item = (&'a [f64], u64)> + 'a {
+        let (tree, page) = (self.tree, self.page);
+        let n = if self.is_leaf() { tree.heads[page].len } else { 0 };
+        (0..n).map(move |s| (tree.point(page, s), tree.ids[tree.id_base(page) + s]))
     }
 }

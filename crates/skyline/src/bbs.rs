@@ -57,6 +57,13 @@ impl Ord for Keyed<'_> {
     }
 }
 
+/// L1 mindist from the origin of a node: the sum of its box's lower
+/// corner. No point inside the box can have a smaller coordinate sum, and
+/// a point dominating the lower corner dominates every point in the box.
+fn mindist_l1(node: NodeRef<'_>) -> f64 {
+    node.mbr().0.iter().sum()
+}
+
 /// Computes the skyline of the points stored in `tree` on subspace `u`
 /// (the tree must be built over the *projected* `u.k()`-dimensional
 /// coordinates — see [`skyline_ids`] for the all-in-one path), returning
@@ -67,7 +74,7 @@ pub fn skyline_from_tree(tree: &RTree, flavour: Dominance) -> Vec<(Vec<f64>, u64
     let mut seq = 0u64;
     if !tree.is_empty() {
         heap.push(Keyed {
-            mindist: tree.root().mbr().mindist_l1(),
+            mindist: mindist_l1(tree.root()),
             seq,
             cand: Candidate::Node(tree.root()),
         });
@@ -81,7 +88,7 @@ pub fn skyline_from_tree(tree: &RTree, flavour: Dominance) -> Vec<(Vec<f64>, u64
         match cand {
             Candidate::Node(node) => {
                 // Prune the whole subtree if its lower corner is dominated.
-                if dominated_by_result(node.mbr().lo(), &skyline) {
+                if dominated_by_result(node.mbr().0, &skyline) {
                     continue;
                 }
                 if node.is_leaf() {
@@ -96,7 +103,7 @@ pub fn skyline_from_tree(tree: &RTree, flavour: Dominance) -> Vec<(Vec<f64>, u64
                 } else {
                     for child in node.children() {
                         heap.push(Keyed {
-                            mindist: child.mbr().mindist_l1(),
+                            mindist: mindist_l1(child),
                             seq,
                             cand: Candidate::Node(child),
                         });

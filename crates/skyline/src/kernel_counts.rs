@@ -11,6 +11,10 @@
 //! window is provably empty and skipped), and points quantised to
 //! `{0, 1, 2}`, whose `f` values tie on most offers (the window runs, and
 //! under standard dominance it evicts).
+//!
+//! Churn's cached queries run the window at `k = 6` on a subspace: an
+//! ext-merge (Algorithm 2) and a standard refine of an ext-skyline
+//! (Algorithm 1). Those shapes are pinned on the same datasets.
 
 use crate::extended::ext_skyline;
 use crate::merge::merge_sorted;
@@ -53,9 +57,10 @@ struct Counts {
     refined: usize,
 }
 
-fn counts(peers: &[PointSet]) -> Counts {
+/// The peers' ext-skylines and their summed counts.
+fn uploads(peers: &[PointSet]) -> (KernelStats, Vec<SortedDataset>) {
     let mut peer_ext = KernelStats::default();
-    let uploads: Vec<SortedDataset> = peers
+    let uploads = peers
         .iter()
         .map(|set| {
             let out = ext_skyline(set, DominanceIndex::RTree);
@@ -63,6 +68,11 @@ fn counts(peers: &[PointSet]) -> Counts {
             out.result
         })
         .collect();
+    (peer_ext, uploads)
+}
+
+fn counts(peers: &[PointSet]) -> Counts {
+    let (peer_ext, uploads) = uploads(peers);
     let refs: Vec<&SortedDataset> = uploads.iter().collect();
     let full = Subspace::full(DIM);
     let merged =
@@ -81,6 +91,39 @@ fn counts(peers: &[PointSet]) -> Counts {
         refine: refine.stats,
         refined: refine.result.len(),
     }
+}
+
+/// The counts of the `k = 6` shapes over the uploads: the ext-merge on
+/// `u` (Algorithm 2) and its size, and a standard refine on `u` of the
+/// full-space store (Algorithm 1, as a cache refine or a super-peer's
+/// local query runs it) and that skyline's size.
+#[derive(Debug, PartialEq)]
+struct SubspaceCounts {
+    ext_merge: KernelStats,
+    merged: usize,
+    refine: KernelStats,
+    refined: usize,
+}
+
+fn subspace_counts(peers: &[PointSet], u: Subspace) -> SubspaceCounts {
+    let (_, uploads) = uploads(peers);
+    let refs: Vec<&SortedDataset> = uploads.iter().collect();
+    let ext = |u| merge_sorted(&refs, u, Dominance::Extended, f64::INFINITY, DominanceIndex::RTree);
+    let merged = ext(u);
+    let store = ext(Subspace::full(DIM)).result;
+    let refine =
+        threshold_skyline(&store, u, Dominance::Standard, f64::INFINITY, DominanceIndex::RTree);
+    SubspaceCounts {
+        ext_merge: merged.stats,
+        merged: merged.result.len(),
+        refine: refine.stats,
+        refined: refine.result.len(),
+    }
+}
+
+/// The 6-d subspace of the `k = 6` rows.
+fn u6() -> Subspace {
+    Subspace::from_dims(&[0, 1, 2, 4, 5, 7])
 }
 
 fn stats(dominance_tests: u64, points_scanned: u64, pruned_by_threshold: u64) -> KernelStats {
@@ -109,6 +152,30 @@ fn quantised_full_space_counts_are_pinned() {
         stored: 1951,
         refine: stats(1932, 1951, 0),
         refined: 47,
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
+fn uniform_k6_subspace_counts_are_pinned() {
+    let got = subspace_counts(&peers(false, 20, 250, 0x5EED_0001), u6());
+    let want = SubspaceCounts {
+        ext_merge: stats(2829, 3514, 35),
+        merged: 685,
+        refine: stats(853, 1538, 0),
+        refined: 685,
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
+fn quantised_k6_subspace_counts_are_pinned() {
+    let got = subspace_counts(&peers(true, 10, 200, 0x5EED_0002), u6());
+    let want = SubspaceCounts {
+        ext_merge: stats(229770, 1928, 49),
+        merged: 1834,
+        refine: stats(1941, 1928, 23),
+        refined: 3,
     };
     assert_eq!(got, want);
 }

@@ -77,6 +77,7 @@ pub fn merge_sorted(
     initial_threshold: f64,
     index: DominanceIndex,
 ) -> ThresholdOutcome {
+    skypeer_obs::scope!("skyline::merge_sorted");
     let dim = lists.iter().map(|l| l.dim()).max().unwrap_or(u.dims().last().map_or(1, |d| d + 1));
     for l in lists {
         assert_eq!(l.dim(), dim, "merged lists must share dimensionality");

@@ -18,7 +18,6 @@ use skypeer::core::live::run_query_live;
 use skypeer::core::preprocess::SuperPeerStore;
 use skypeer::prelude::*;
 use skypeer_skyline::DominanceIndex;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Hotel attributes, all minimized: price (EUR/night), distance to the
@@ -74,7 +73,7 @@ fn main() {
             store.uploaded_points,
             store.store.len()
         );
-        stores.push(Arc::new(store.store));
+        stores.push(store.store);
     }
     println!(
         "\nnetwork total: {total_hotels} hotels, {total_uploaded} uploaded ({:.1}%)\n",

@@ -41,7 +41,7 @@ fn main() {
     let stores: Vec<Arc<_>> = (0..n_sp)
         .map(|sp| {
             let sets: Vec<_> = (0..2).map(|i| spec.generate_peer(sp * 2 + i, sp)).collect();
-            Arc::new(SuperPeerStore::preprocess(&sets, 4, DominanceIndex::Linear).store)
+            SuperPeerStore::preprocess(&sets, 4, DominanceIndex::Linear).store
         })
         .collect();
     println!("topology:");

@@ -99,10 +99,7 @@ fn line_stores(n: usize) -> Vec<Arc<skypeer::skyline::SortedDataset>> {
     peer_sets(n, 50)
         .iter()
         .map(|p| {
-            Arc::new(
-                SuperPeerStore::preprocess(std::slice::from_ref(p), 4, DominanceIndex::Linear)
-                    .store,
-            )
+            SuperPeerStore::preprocess(std::slice::from_ref(p), 4, DominanceIndex::Linear).store
         })
         .collect()
 }

@@ -31,7 +31,7 @@ fn skewed_data_placement_stays_exact() {
     }
     let stores: Vec<Arc<_>> = grouped
         .iter()
-        .map(|sets| Arc::new(SuperPeerStore::preprocess(sets, 4, DominanceIndex::RTree).store))
+        .map(|sets| SuperPeerStore::preprocess(sets, 4, DominanceIndex::RTree).store)
         .collect();
     let u = Subspace::from_dims(&[0, 2]);
     let want = brute::skyline_ids(&all, u, Dominance::Standard);
