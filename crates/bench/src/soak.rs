@@ -1171,39 +1171,44 @@ mod unit {
     #[test]
     fn injected_ext_drop_is_caught_and_named() {
         let engine = engine();
-        let mut spec = small_spec(engine.config().n_superpeers);
-        spec.variants = vec![Variant::Ftpm];
-        spec.telemetry = Some(TelemetrySpec::default());
-        spec.audit = Some(SoakAudit { sample_rate: 1.0, seed: 3, inject_drop_ext: true });
-        let out = run_soak(&engine, &spec, |_| {});
-        let aud = out.variants[0].audit.as_ref().unwrap();
-        let victim = aud.injected_drop.expect("drill armed");
-        assert!(aud.stats.violations > 0, "the audit must catch the drill");
-        // The violation names the dropped point with its lineage: origin
-        // peer, super-peer, and the queried subspace.
-        let hit = aud
-            .violations
-            .iter()
-            .find(|v| v.missing.iter().any(|l| l.id == victim))
-            .expect("a violation names the victim");
-        let named = hit.missing.iter().find(|l| l.id == victim).unwrap();
-        assert!(named.origin.is_some(), "lineage carries the origin peer");
-        assert_eq!(named.query_dims, hit.dims);
-        let report = out.audit_report().unwrap();
-        assert!(report.contains(&format!("drill: dropped #{victim}")), "{report}");
-        assert!(report.contains(&format!("#{victim} (peer ")), "{report}");
-        // The audit_violations telemetry series recorded the stream.
-        let tel = out.variants[0].telemetry.as_ref().unwrap();
-        let ts = tel.tsdb.get("audit_violations").expect("audit series present");
-        assert_eq!(ts.count(), 12);
-        // Summary carries the records; the whole run stays deterministic.
-        let summary = out.summary_json();
-        assert!(summary.contains(&format!("\"injected_drop\":{victim}")), "{summary}");
-        assert!(summary.contains("\"records\":[{\"query\":"), "{summary}");
-        assert_eq!(summary, run_soak(&engine, &spec, |_| {}).summary_json());
-        // The fault is cleared afterwards: a fresh audited run is clean.
-        spec.audit = Some(SoakAudit { sample_rate: 1.0, seed: 3, inject_drop_ext: false });
-        assert_eq!(run_soak(&engine, &spec, |_| {}).violation_count(), 0);
+        for backend in BackendKind::ALL {
+            let mut spec = small_spec(engine.config().n_superpeers);
+            spec.backend = backend;
+            spec.variants = vec![Variant::Ftpm];
+            spec.telemetry = Some(TelemetrySpec::default());
+            spec.audit = Some(SoakAudit { sample_rate: 1.0, seed: 3, inject_drop_ext: true });
+            let out = run_soak(&engine, &spec, |_| {});
+            let aud = out.variants[0].audit.as_ref().unwrap();
+            let victim = aud.injected_drop.expect("drill armed");
+            assert!(aud.stats.violations > 0, "the audit must catch the drill on {backend}");
+            // The violation names the dropped point with its lineage:
+            // origin peer, super-peer, and the queried subspace.
+            let hit = aud
+                .violations
+                .iter()
+                .find(|v| v.missing.iter().any(|l| l.id == victim))
+                .expect("a violation names the victim");
+            let named = hit.missing.iter().find(|l| l.id == victim).unwrap();
+            assert!(named.origin.is_some(), "lineage carries the origin peer");
+            assert_eq!(named.query_dims, hit.dims);
+            let report = out.audit_report().unwrap();
+            assert!(report.contains(&format!("drill: dropped #{victim}")), "{report}");
+            assert!(report.contains(&format!("#{victim} (peer ")), "{report}");
+            // The audit_violations telemetry series recorded the stream.
+            let tel = out.variants[0].telemetry.as_ref().unwrap();
+            let ts = tel.tsdb.get("audit_violations").expect("audit series present");
+            assert_eq!(ts.count(), 12);
+            // Summary carries the records; the whole run stays
+            // deterministic.
+            let summary = out.summary_json();
+            assert!(summary.contains(&format!("\"injected_drop\":{victim}")), "{summary}");
+            assert!(summary.contains("\"records\":[{\"query\":"), "{summary}");
+            assert_eq!(summary, run_soak(&engine, &spec, |_| {}).summary_json());
+            // The fault is cleared afterwards: a fresh audited run is
+            // clean.
+            spec.audit = Some(SoakAudit { sample_rate: 1.0, seed: 3, inject_drop_ext: false });
+            assert_eq!(run_soak(&engine, &spec, |_| {}).violation_count(), 0);
+        }
     }
 
     #[test]

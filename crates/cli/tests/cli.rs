@@ -662,7 +662,7 @@ fn profile_logical_exports_are_byte_deterministic_and_match_goldens() {
     assert!(ok_a && ok_b, "stderr: {stderr}");
     assert_eq!(a, b, "two fresh processes must emit identical bytes");
     assert!(a.starts_with("{\"clock\":\"logical\""), "{}", &a[..a.len().min(80)]);
-    for key in ["\"path\":\"des::run\"", "skyline::threshold_skyline", "wire::encode"] {
+    for key in ["\"path\":\"des::run\"", "skyline::threshold_skyline", "rtree::window"] {
         assert!(a.contains(key), "missing {key} in:\n{a}");
     }
 

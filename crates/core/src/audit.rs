@@ -14,9 +14,9 @@
 //! subspace.
 //!
 //! For drills, [`AnswerFault`] corrupts one in-flight ext-skyline entry
-//! (removing a point id from every `Answer` payload) without touching
-//! timing or byte accounting: invisible to every performance metric,
-//! caught only by the audit.
+//! (removing a point id from every result list on the wire) without
+//! touching timing or byte accounting: invisible to every performance
+//! metric, caught only by the audit.
 
 use crate::engine::SkypeerEngine;
 use crate::msg::Msg;
@@ -24,14 +24,16 @@ use crate::verify;
 use skypeer_data::Query;
 use skypeer_obs::json::{arr, Obj};
 use skypeer_obs::lineage::{dim_set, LineageStage, PointLineage, PointOrigin, Witness};
-use skypeer_skyline::{dominance, PointSet, Subspace};
+use skypeer_skyline::{dominance, PointSet, SortedDataset, Subspace};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-/// Silent in-flight corruption: removes `drop_id` from every
-/// [`Msg::Answer`] payload crossing the wire. The message stays
-/// well-formed (`done` / `complete` flags untouched) and its declared
-/// wire size was fixed at send time, so the drill changes no timing and
-/// no byte accounting — only the decoded answer.
+/// Silent in-flight corruption: removes `drop_id` from every result list
+/// crossing the wire — SKYPEER's [`Msg::Answer`] and the sampling
+/// backend's [`Msg::Candidates`]. The message stays well-formed (its
+/// flags untouched) and its wire size was fixed at send time, so the
+/// drill changes no timing and no byte accounting — only the delivered
+/// answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnswerFault {
     /// The point id silently removed from in-flight answers.
@@ -39,28 +41,29 @@ pub struct AnswerFault {
 }
 
 impl AnswerFault {
-    /// Applies the fault to one payload: returns the re-encoded message
-    /// with the victim removed, or `None` when the payload is not an
-    /// answer containing it (leave it untouched).
-    pub fn tamper(&self, payload: &[u8]) -> Option<Vec<u8>> {
-        let Msg::Answer { qid, done, complete, points } = Msg::decode(payload)? else {
-            return None;
+    /// Applies the fault to one message: returns it with the victim
+    /// removed, or `None` when it is not a result list containing the
+    /// victim (leave it untouched).
+    pub fn tamper(&self, msg: &Msg) -> Option<Msg> {
+        let without_victim = |points: &SortedDataset| {
+            let set = points.points();
+            let keep: Vec<usize> = (0..set.len()).filter(|&i| set.id(i) != self.drop_id).collect();
+            (keep.len() < set.len()).then(|| Arc::new(SortedDataset::from_set(&set.gather(&keep))))
         };
-        let set = points.points();
-        let keep: Vec<usize> = (0..set.len()).filter(|&i| set.id(i) != self.drop_id).collect();
-        if keep.len() == set.len() {
-            return None;
+        match msg {
+            Msg::Answer { qid, done, complete, points } => Some(Msg::Answer {
+                qid: *qid,
+                done: *done,
+                complete: *complete,
+                points: without_victim(points)?,
+            }),
+            Msg::Candidates { qid, complete, points } => Some(Msg::Candidates {
+                qid: *qid,
+                complete: *complete,
+                points: without_victim(points)?,
+            }),
+            _ => None,
         }
-        let kept = set.gather(&keep);
-        Some(
-            Msg::Answer {
-                qid,
-                done,
-                complete,
-                points: skypeer_skyline::SortedDataset::from_set(&kept),
-            }
-            .encode(),
-        )
     }
 }
 
@@ -405,7 +408,7 @@ mod unit {
     use skypeer_netsim::cost::CostModel;
     use skypeer_netsim::des::LinkModel;
     use skypeer_netsim::topology::TopologySpec;
-    use skypeer_skyline::{DominanceIndex, SortedDataset};
+    use skypeer_skyline::DominanceIndex;
 
     fn small_engine() -> SkypeerEngine {
         let n_superpeers = 4;
@@ -583,31 +586,41 @@ mod unit {
             variant: Variant::Ftpm,
             flavour: skypeer_skyline::Dominance::Standard,
         };
-        assert_eq!(fault.tamper(&query.encode()), None);
-        let mut set = PointSet::new(2);
-        set.push(&[1.0, 2.0], 3);
-        set.push(&[2.0, 1.0], 4);
-        let answer = Msg::Answer {
+        assert_eq!(fault.tamper(&query), None);
+        let points = |ids: &[u64]| {
+            let mut set = PointSet::new(2);
+            for &id in ids {
+                set.push(&[id as f64, 10.0 - id as f64], id);
+            }
+            Arc::new(SortedDataset::from_set(&set))
+        };
+        // The sampling filter is a list too, but only pruning: it stays.
+        let filter = Msg::SampleQuery {
             qid: 1,
-            done: true,
-            complete: true,
-            points: SortedDataset::from_set(&set),
+            subspace: Subspace::from_dims(&[0]),
+            flavour: skypeer_skyline::Dominance::Standard,
+            filter: points(&[3, 4]),
         };
-        let tampered = fault.tamper(&answer.encode()).expect("victim present");
-        let Some(Msg::Answer { points, .. }) = Msg::decode(&tampered) else {
-            panic!("tampered message must stay a well-formed answer");
+        assert_eq!(fault.tamper(&filter), None);
+        // Both result lists lose the victim and keep their flags.
+        let answer = Msg::Answer { qid: 1, done: true, complete: true, points: points(&[3, 4]) };
+        let Some(Msg::Answer { qid: 1, done: true, complete: true, points: kept }) =
+            fault.tamper(&answer)
+        else {
+            panic!("tampered message must stay an answer with its flags");
         };
-        assert_eq!(points.len(), 1);
-        assert_eq!(points.points().id(0), 4);
-        // An answer without the victim passes through untouched.
-        let mut other = PointSet::new(2);
-        other.push(&[1.0, 2.0], 9);
-        let benign = Msg::Answer {
-            qid: 1,
-            done: false,
-            complete: true,
-            points: SortedDataset::from_set(&other),
+        assert_eq!(kept, points(&[4]));
+        let candidates = Msg::Candidates { qid: 2, complete: false, points: points(&[4, 3]) };
+        let Some(Msg::Candidates { qid: 2, complete: false, points: kept }) =
+            fault.tamper(&candidates)
+        else {
+            panic!("tampered message must stay a candidate list with its flags");
         };
-        assert_eq!(fault.tamper(&benign.encode()), None);
+        assert_eq!(kept, points(&[4]));
+        // Lists without the victim pass through untouched.
+        let benign = Msg::Answer { qid: 1, done: false, complete: true, points: points(&[9]) };
+        assert_eq!(fault.tamper(&benign), None);
+        let benign = Msg::Candidates { qid: 1, complete: true, points: points(&[9, 4]) };
+        assert_eq!(fault.tamper(&benign), None);
     }
 }

@@ -36,12 +36,11 @@ use skypeer_data::Query;
 use skypeer_netsim::cost::WorkReport;
 use skypeer_netsim::des::{Behavior, Context, LinkModel, Sim};
 use skypeer_netsim::obs::{ProtoEvent, QueryPhase, Tracer};
-use skypeer_skyline::merge::merge_sorted;
 use skypeer_skyline::{Dominance, PointSet, SortedDataset, Subspace};
 
 use crate::engine::{QueryOutcome, SkypeerEngine};
 use crate::msg::Msg;
-use crate::node::FinalAnswer;
+use crate::node::{merge_reported, FinalAnswer};
 use crate::planner::IndexPolicy;
 use crate::variants::Variant;
 
@@ -98,9 +97,9 @@ pub fn parse_backend(s: &str) -> Result<BackendKind, String> {
 /// * **Determinism** — identical inputs produce identical outcomes,
 ///   byte-for-byte (the DES guarantees this if the behavior is
 ///   deterministic).
-/// * **Honest accounting** — every byte crossing the wire is a real
-///   encoded message through [`crate::msg::Msg`]; computation is reported
-///   via [`WorkReport`] so the cost model prices it.
+/// * **Honest accounting** — every message is a [`crate::msg::Msg`],
+///   charged its wire size; computation is reported via [`WorkReport`] so
+///   the cost model prices it.
 /// * **Observability** — tracing must ride the standard [`Tracer`] hooks
 ///   so trace/explain/soak/audit tools work unmodified.
 pub trait DistributedSkylineBackend {
@@ -187,7 +186,7 @@ impl DistributedSkylineBackend for SamplingBackend {
             sim = sim.with_tracer(tracer);
         }
         if let Some(fault) = engine.current_fault() {
-            sim = sim.with_tamper_hook(move |_, _, payload| fault.tamper(payload));
+            sim = sim.with_tamper_hook(move |_, _, msg| fault.tamper(msg));
         }
         let out = sim.run(query.initiator);
         let answer = out
@@ -254,9 +253,9 @@ struct CoordState {
     flavour: Dominance,
     /// The coordinator's local subspace skyline (also the filter it
     /// broadcast).
-    local: SortedDataset,
+    local: Arc<SortedDataset>,
     /// Candidate lists received so far.
-    collected: Vec<SortedDataset>,
+    collected: Vec<Arc<SortedDataset>>,
     /// Peers whose candidates are still outstanding.
     awaiting: usize,
     complete: bool,
@@ -309,7 +308,7 @@ impl SamplingNode {
         qid: u32,
         subspace: Subspace,
         flavour: Dominance,
-        ctx: &mut dyn Context,
+        ctx: &mut dyn Context<Msg>,
     ) -> SortedDataset {
         let index = self.policy.resolve(self.store.len(), subspace);
         let started = Instant::now();
@@ -325,17 +324,15 @@ impl SamplingNode {
 
     /// Coordinator start: local skyline → broadcast filter to every other
     /// super-peer (round 1).
-    fn start_query(&mut self, init: SamplingInit, ctx: &mut dyn Context) {
+    fn start_query(&mut self, init: SamplingInit, ctx: &mut dyn Context<Msg>) {
         let SamplingInit { qid, subspace, flavour } = init;
         ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Started });
-        let local = self.local_skyline(qid, subspace, flavour, ctx);
+        let local = Arc::new(self.local_skyline(qid, subspace, flavour, ctx));
         let awaiting = self.n_superpeers - 1;
         if awaiting > 0 {
-            let msg = Msg::SampleQuery { qid, subspace, flavour, filter: local.clone() };
-            let bytes = msg.wire_bytes();
-            let encoded = msg.encode();
+            let msg = Msg::SampleQuery { qid, subspace, flavour, filter: Arc::clone(&local) };
             for sp in (0..self.n_superpeers).filter(|&sp| sp != self.id) {
-                ctx.send(sp, bytes, encoded.clone());
+                ctx.send(sp, msg.clone());
             }
             ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Forwarded });
         }
@@ -361,8 +358,8 @@ impl SamplingNode {
         qid: u32,
         subspace: Subspace,
         flavour: Dominance,
-        filter: SortedDataset,
-        ctx: &mut dyn Context,
+        filter: Arc<SortedDataset>,
+        ctx: &mut dyn Context<Msg>,
     ) {
         ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Started });
         let local = self.local_skyline(qid, subspace, flavour, ctx);
@@ -377,8 +374,7 @@ impl SamplingNode {
             ctx.note(ProtoEvent::Prune { qid, pruned });
         }
         ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Finalized });
-        let msg = Msg::Candidates { qid, complete: true, points: survivors };
-        ctx.send(from, msg.wire_bytes(), msg.encode());
+        ctx.send(from, Msg::Candidates { qid, complete: true, points: Arc::new(survivors) });
     }
 
     /// Coordinator side of round 2: collect candidates; once every peer
@@ -387,8 +383,8 @@ impl SamplingNode {
         &mut self,
         qid: u32,
         complete: bool,
-        points: SortedDataset,
-        ctx: &mut dyn Context,
+        points: Arc<SortedDataset>,
+        ctx: &mut dyn Context<Msg>,
     ) {
         let Some(state) = self.states.get_mut(&qid) else {
             debug_assert!(false, "candidates for unknown query {qid}");
@@ -404,23 +400,23 @@ impl SamplingNode {
     }
 
     /// Final merge once every peer's candidates are in.
-    fn check_finalize(&mut self, qid: u32, ctx: &mut dyn Context) {
+    fn check_finalize(&mut self, qid: u32, ctx: &mut dyn Context<Msg>) {
         let ready = self.states.get(&qid).is_some_and(|s| s.awaiting == 0);
         if !ready {
             return;
         }
         let state = self.states.remove(&qid).expect("state checked above");
-        let started = Instant::now();
-        let mut lists: Vec<&SortedDataset> = Vec::with_capacity(state.collected.len() + 1);
-        lists.push(&state.local);
-        lists.extend(state.collected.iter());
-        let index = self.policy.resolve(self.store.len(), state.subspace);
-        let merged = merge_sorted(&lists, state.subspace, state.flavour, f64::INFINITY, index);
-        ctx.report_work(WorkReport {
-            dominance_tests: merged.stats.dominance_tests,
-            points_scanned: merged.stats.points_scanned,
-            measured: Some(started.elapsed()),
-        });
+        let (subspace, flavour) = (state.subspace, state.flavour);
+        let index = self.policy.resolve(self.store.len(), subspace);
+        let merged = merge_reported(
+            &state.local,
+            &state.collected,
+            subspace,
+            flavour,
+            f64::INFINITY,
+            index,
+            ctx,
+        );
         ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Finalized });
         self.outcomes.push((qid, FinalAnswer { result: merged.result, complete: state.complete }));
         ctx.finish();
@@ -428,21 +424,22 @@ impl SamplingNode {
 }
 
 impl Behavior for SamplingNode {
-    fn on_start(&mut self, ctx: &mut dyn Context) {
+    type Msg = Msg;
+
+    fn on_start(&mut self, ctx: &mut dyn Context<Msg>) {
         let init = self.init.take().expect("on_start on a node without a query");
         self.start_query(init, ctx);
     }
 
-    fn on_message(&mut self, from: usize, msg: Vec<u8>, ctx: &mut dyn Context) {
-        match Msg::decode(&msg) {
-            Some(Msg::SampleQuery { qid, subspace, flavour, filter }) => {
+    fn on_message(&mut self, from: usize, msg: Msg, ctx: &mut dyn Context<Msg>) {
+        match msg {
+            Msg::SampleQuery { qid, subspace, flavour, filter } => {
                 self.on_sample_query(from, qid, subspace, flavour, filter, ctx);
             }
-            Some(Msg::Candidates { qid, complete, points }) => {
+            Msg::Candidates { qid, complete, points } => {
                 self.on_candidates(qid, complete, points, ctx);
             }
-            Some(other) => debug_assert!(false, "unexpected message for sampling node: {other:?}"),
-            None => debug_assert!(false, "undecodable message from {from}"),
+            other => debug_assert!(false, "unexpected message for sampling node: {other:?}"),
         }
     }
 }

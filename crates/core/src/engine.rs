@@ -474,7 +474,7 @@ impl SkypeerEngine {
             sim = sim.with_tracer(tracer);
         }
         if let Some(fault) = self.fault.get() {
-            sim = sim.with_tamper_hook(move |_, _, payload| fault.tamper(payload));
+            sim = sim.with_tamper_hook(move |_, _, msg| fault.tamper(msg));
         }
         let out = sim.run(query.initiator);
         let (stats, result, complete) = extract(out, query.initiator);

@@ -1,24 +1,29 @@
 //! Protocol messages and their wire codec.
 //!
-//! The network substrate moves opaque byte buffers, so every message is
-//! serialized through a small hand-rolled binary format. The *volume of
-//! transferred data* — one of the three metrics of the paper's evaluation —
-//! is the size of that format: [`Msg::wire_bytes`] computes it from the
-//! layout without encoding, and [`Msg::encode`] writes exactly that many
-//! bytes into a buffer allocated once. The two share one length function;
-//! what keeps the metric honest is the size property test, which checks
-//! `wire_bytes() == encode().len()` for every message kind, and a debug
-//! assertion on every encode. A payload whose length differs from the
-//! layout of what it decodes to is rejected.
+//! Both runtimes hand [`Msg`] values to the handlers. The DES moves the
+//! values themselves: a point list is an `Arc`, so a flood, relay or
+//! filter broadcast copies no points. The live runtime moves the bytes of
+//! a small hand-rolled binary format. The *volume of transferred data* —
+//! one of the three metrics of the paper's evaluation — is the size of
+//! that format: [`Wire::wire_bytes`] computes it from the layout without
+//! encoding, and [`Wire::encode`] writes exactly that many bytes into a
+//! buffer allocated once. Three checks keep the metric honest: the size
+//! property test below, a debug assertion on every encode, and the DES's
+//! debug-build oracle, which encodes every sent message and checks its
+//! round trip and length. A payload whose length differs from the layout
+//! of what it decodes to is rejected.
 //!
 //! Result points travel with their full-space coordinates and global ids,
 //! ordered ascending by `(f(p), id)` as Algorithm 2 expects; the `f` values
-//! themselves are recomputed on arrival (they are derivable, so shipping
-//! them would inflate volume for nothing). A list that arrives in that
-//! order is wrapped as it is; any other order is re-sorted, so a decoded
-//! list never depends on the sender's honesty.
+//! themselves are not encoded but recomputed by the decoder (they are
+//! derivable, so shipping them would inflate volume for nothing). A list
+//! that arrives in that order is wrapped as it is; any other order is
+//! re-sorted, so a decoded list never depends on the sender's honesty.
+
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
+use skypeer_netsim::des::Wire;
 use skypeer_skyline::{f_value, Dominance, PointSet, SortedDataset, Subspace, MAX_DIM};
 
 use crate::variants::Variant;
@@ -75,7 +80,7 @@ pub enum Msg {
         /// skyline points from failed subtrees.
         complete: bool,
         /// The result points, `f`-ascending.
-        points: SortedDataset,
+        points: Arc<SortedDataset>,
     },
     /// "I already received this query from elsewhere" — the receiver is
     /// not a child of the sender; the sender must not await its results.
@@ -104,7 +109,7 @@ pub enum Msg {
         flavour: Dominance,
         /// The coordinator's local subspace skyline, shipped as the
         /// pruning filter (`f`-ascending).
-        filter: SortedDataset,
+        filter: Arc<SortedDataset>,
     },
     /// Round 2 of the sampling backend: a super-peer's surviving local
     /// skyline candidates, sent straight back to the coordinator.
@@ -115,7 +120,7 @@ pub enum Msg {
         /// today; reserved for fault-tolerant extensions).
         complete: bool,
         /// The surviving candidate points, `f`-ascending.
-        points: SortedDataset,
+        points: Arc<SortedDataset>,
     },
 }
 
@@ -189,8 +194,8 @@ fn decode_points(buf: &mut &[u8]) -> Option<SortedDataset> {
 }
 
 impl Msg {
-    /// Length of this message's encoding, from the layout [`Msg::encode`]
-    /// writes: the tag byte, the fixed header fields, then any point list.
+    /// Length of this message's encoding, from the layout `encode` writes:
+    /// the tag byte, the fixed header fields, then any point list.
     fn encoded_len(&self) -> usize {
         match self {
             Msg::Query { .. } => 1 + 4 + 4 + 8 + 1 + 1,
@@ -200,12 +205,23 @@ impl Msg {
             Msg::Candidates { points, .. } => 1 + 4 + 1 + points_len(points),
         }
     }
+}
+
+impl Wire for Msg {
+    /// On-wire size in bytes, computed from the layout without encoding:
+    /// the length `encode` returns, except that [`Msg::ComputeLocal`] is
+    /// free (it never crosses the network).
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            Msg::ComputeLocal { .. } => 0,
+            _ => self.encoded_len() as u64,
+        }
+    }
 
     /// Serializes into a buffer allocated once, at the exact length. The
     /// buffer length is the message's wire size, except for
-    /// [`Msg::ComputeLocal`], which callers send with 0 bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        skypeer_obs::scope!("wire::encode");
+    /// [`Msg::ComputeLocal`], which is sent with 0 bytes.
+    fn encode(&self) -> Vec<u8> {
         let len = self.encoded_len();
         let mut b = Vec::with_capacity(len);
         match self {
@@ -253,8 +269,7 @@ impl Msg {
     /// Deserializes; returns `None` on malformed input, including a payload
     /// whose length differs from the layout length of what it decodes to
     /// (trailing bytes).
-    pub fn decode(payload: &[u8]) -> Option<Msg> {
-        skypeer_obs::scope!("wire::decode");
+    fn decode(payload: &[u8]) -> Option<Msg> {
         let mut buf = payload;
         if buf.remaining() < 1 {
             return None;
@@ -286,7 +301,7 @@ impl Msg {
                 let qid = buf.get_u32();
                 let done = buf.get_u8() != 0;
                 let complete = buf.get_u8() != 0;
-                let points = decode_points(&mut buf)?;
+                let points = Arc::new(decode_points(&mut buf)?);
                 Msg::Answer { qid, done, complete, points }
             }
             3 => {
@@ -311,7 +326,7 @@ impl Msg {
                     return None;
                 }
                 let flavour = flavour_from_wire(buf.get_u8())?;
-                let filter = decode_points(&mut buf)?;
+                let filter = Arc::new(decode_points(&mut buf)?);
                 Msg::SampleQuery { qid, subspace: Subspace::from_mask(mask), flavour, filter }
             }
             6 => {
@@ -320,24 +335,12 @@ impl Msg {
                 }
                 let qid = buf.get_u32();
                 let complete = buf.get_u8() != 0;
-                let points = decode_points(&mut buf)?;
+                let points = Arc::new(decode_points(&mut buf)?);
                 Msg::Candidates { qid, complete, points }
             }
             _ => return None,
         };
         (msg.encoded_len() == payload.len()).then_some(msg)
-    }
-
-    /// On-wire size in bytes, computed from the layout without encoding:
-    /// the length [`Msg::encode`] returns, except that
-    /// [`Msg::ComputeLocal`] is free (it never crosses the network). The
-    /// size property test and `encode`'s debug assertion keep the two
-    /// equal.
-    pub fn wire_bytes(&self) -> u64 {
-        match self {
-            Msg::ComputeLocal { .. } => 0,
-            _ => self.encoded_len() as u64,
-        }
     }
 }
 
@@ -345,11 +348,15 @@ impl Msg {
 mod unit {
     use super::*;
 
-    fn sample_points() -> SortedDataset {
+    fn sample_points() -> Arc<SortedDataset> {
         let mut s = PointSet::new(3);
         s.push(&[1.0, 2.0, 3.0], 7);
         s.push(&[0.5, 4.0, 4.0], 9);
-        SortedDataset::from_set(&s)
+        Arc::new(SortedDataset::from_set(&s))
+    }
+
+    fn empty_points() -> Arc<SortedDataset> {
+        Arc::new(SortedDataset::empty(3))
     }
 
     #[test]
@@ -405,8 +412,7 @@ mod unit {
 
     #[test]
     fn wire_size_tracks_point_count() {
-        let empty =
-            Msg::Answer { qid: 0, done: true, complete: true, points: SortedDataset::empty(3) };
+        let empty = Msg::Answer { qid: 0, done: true, complete: true, points: empty_points() };
         let full = Msg::Answer { qid: 0, done: true, complete: true, points: sample_points() };
         // Two 3-d points cost 2 × (8 id + 24 coords) = 64 extra bytes.
         assert_eq!(full.wire_bytes(), empty.wire_bytes() + 64);
@@ -486,7 +492,7 @@ mod unit {
             for (id, coords) in points {
                 set.push(coords, *id);
             }
-            assert_eq!(decoded, SortedDataset::from_set(&set), "{name}");
+            assert_eq!(*decoded, SortedDataset::from_set(&set), "{name}");
         }
     }
 
@@ -516,8 +522,7 @@ mod unit {
         assert_eq!(Msg::decode(&q), None, "NaN threshold must be rejected");
         // Oversized declared dimensionality.
         let mut big =
-            Msg::Answer { qid: 0, done: true, complete: true, points: SortedDataset::empty(3) }
-                .encode();
+            Msg::Answer { qid: 0, done: true, complete: true, points: empty_points() }.encode();
         big[7] = 255; // dim byte (tag + qid + done + complete precede it)
         assert_eq!(Msg::decode(&big), None, "dim > MAX_DIM must be rejected");
     }
@@ -539,7 +544,7 @@ mod unit {
         }
         // Empty point lists survive too (a peer may have nothing left
         // after filtering).
-        let m = Msg::Candidates { qid: 0, complete: true, points: SortedDataset::empty(3) };
+        let m = Msg::Candidates { qid: 0, complete: true, points: empty_points() };
         assert_eq!(Msg::decode(&m.encode()), Some(m));
     }
 
@@ -550,7 +555,7 @@ mod unit {
             qid: 0,
             subspace: Subspace::from_mask(1),
             flavour: Dominance::Standard,
-            filter: SortedDataset::empty(3),
+            filter: empty_points(),
         }
         .encode();
         bad[5..9].fill(0);
@@ -573,7 +578,7 @@ mod unit {
             qid: 0,
             subspace: Subspace::from_mask(5),
             flavour: Dominance::Standard,
-            filter: SortedDataset::empty(3),
+            filter: empty_points(),
         };
         let full = Msg::SampleQuery {
             qid: 0,
@@ -658,7 +663,7 @@ mod unit {
                 for (p, &id) in coords.chunks(dim).zip(&ids).take(n) {
                     set.push(p, id);
                 }
-                let points = SortedDataset::from_set(&set);
+                let points = Arc::new(SortedDataset::from_set(&set));
                 let subspace = Subspace::from_mask(mask);
                 let variant = Variant::ALL[variant_idx];
                 let flavour = [Dominance::Standard, Dominance::Extended][flavour_idx];

@@ -38,7 +38,7 @@ use skypeer_netsim::cost::WorkReport;
 use skypeer_netsim::des::{Behavior, Context};
 use skypeer_netsim::obs::{ProtoEvent, QueryPhase};
 use skypeer_skyline::merge::merge_sorted;
-use skypeer_skyline::sorted::KernelStats;
+use skypeer_skyline::sorted::{KernelStats, ThresholdOutcome};
 use skypeer_skyline::{bnl, Dominance, DominanceIndex, PointSet, SortedDataset, Subspace};
 
 use crate::msg::Msg;
@@ -94,12 +94,31 @@ struct QueryState {
     local: Option<SortedDataset>,
     /// Buffered result lists: children's lists (`*PM`) or everything that
     /// reached the initiator (`*FM`/naive).
-    collected: Vec<SortedDataset>,
+    collected: Vec<Arc<SortedDataset>>,
     /// Whether this node already sent its final answer / finished.
     finalized: bool,
     /// Whether every super-peer of this subtree contributed. Cleared when
     /// a timed-out child is abandoned or a child reports incompleteness.
     complete: bool,
+}
+
+impl QueryState {
+    /// Fresh state for query `q`, arriving with `threshold` from `parent`
+    /// (`None` on the initiator).
+    fn new(q: InitQuery, threshold: f64, parent: Option<usize>) -> Self {
+        QueryState {
+            subspace: q.subspace,
+            variant: q.variant,
+            flavour: q.flavour,
+            threshold,
+            parent,
+            outstanding: Vec::new(),
+            local: None,
+            collected: Vec::new(),
+            finalized: false,
+            complete: true,
+        }
+    }
 }
 
 /// The initiator's final answer.
@@ -213,6 +232,30 @@ impl LocalRunMemo {
     }
 }
 
+/// Algorithm 2 over a node's `local` list and the `collected` ones,
+/// reporting the merge's work to `ctx`.
+pub(crate) fn merge_reported(
+    local: &SortedDataset,
+    collected: &[Arc<SortedDataset>],
+    subspace: Subspace,
+    flavour: Dominance,
+    threshold: f64,
+    index: DominanceIndex,
+    ctx: &mut dyn Context<Msg>,
+) -> ThresholdOutcome {
+    let started = Instant::now();
+    let mut lists: Vec<&SortedDataset> = Vec::with_capacity(collected.len() + 1);
+    lists.push(local);
+    lists.extend(collected.iter().map(Arc::as_ref));
+    let merged = merge_sorted(&lists, subspace, flavour, threshold, index);
+    ctx.report_work(WorkReport {
+        dominance_tests: merged.stats.dominance_tests,
+        points_scanned: merged.stats.points_scanned,
+        measured: Some(started.elapsed()),
+    });
+    merged
+}
+
 /// The points of `store` at `positions`, with their `f` values.
 fn from_positions(store: &SortedDataset, positions: &[u32]) -> SortedDataset {
     let positions: Vec<usize> = positions.iter().map(|&p| p as usize).collect();
@@ -315,7 +358,7 @@ impl SuperPeerNode {
     /// Runs the local computation, or replays the memo's run for this
     /// incoming threshold. Updates the state's threshold and reports the
     /// work to the runtime; a replay reports what the run reported.
-    fn compute_local(&mut self, qid: u32, ctx: &mut dyn Context) {
+    fn compute_local(&mut self, qid: u32, ctx: &mut dyn Context<Msg>) {
         let state = self.states.get(&qid).expect("compute without state");
         let (subspace, flavour, variant) = (state.subspace, state.flavour, state.variant);
         let old_threshold = state.threshold;
@@ -375,11 +418,11 @@ impl SuperPeerNode {
         (result, LocalWork { threshold, stats, measured: started.elapsed() })
     }
 
-    /// Sends the query onward to every neighbor except the parent and
-    /// returns the neighbors contacted (the initially outstanding set).
-    /// Arms the child timeout, if configured.
-    fn forward_query(&mut self, qid: u32, ctx: &mut dyn Context) -> Vec<usize> {
-        let state = self.states.get(&qid).expect("forward without state");
+    /// Sends the query onward to every neighbor except the parent, which
+    /// makes the neighbors contacted the outstanding set. Arms the child
+    /// timeout, if configured.
+    fn forward_query(&mut self, qid: u32, ctx: &mut dyn Context<Msg>) {
+        let state = self.states.get_mut(&qid).expect("forward without state");
         let msg = Msg::Query {
             qid,
             subspace: state.subspace,
@@ -387,8 +430,6 @@ impl SuperPeerNode {
             variant: state.variant,
             flavour: state.flavour,
         };
-        let bytes = msg.wire_bytes();
-        let encoded = msg.encode();
         let targets: Vec<usize> = match &self.routing {
             Routing::Flood => {
                 self.neighbors.iter().copied().filter(|&n| Some(n) != state.parent).collect()
@@ -396,19 +437,36 @@ impl SuperPeerNode {
             Routing::Tree { children } => children.clone(),
         };
         for &n in &targets {
-            ctx.send(n, bytes, encoded.clone());
+            ctx.send(n, msg.clone());
         }
-        if let Some(timeout) = self.child_timeout {
-            if !targets.is_empty() {
+        if !targets.is_empty() {
+            if let Some(timeout) = self.child_timeout {
                 ctx.set_timer(timeout, u64::from(qid));
             }
+            ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Forwarded });
         }
-        targets
+        state.outstanding = targets;
+    }
+
+    /// Runs a query just installed on this node. With `compute_first`
+    /// the local computation runs before forwarding, so the query carries
+    /// the tightened threshold. Otherwise the query is forwarded at once
+    /// and the computation deferred behind a zero-byte self-message, so
+    /// propagation is not serialized behind it.
+    fn launch(&mut self, qid: u32, compute_first: bool, ctx: &mut dyn Context<Msg>) {
+        if compute_first {
+            self.compute_local(qid, ctx);
+            self.forward_query(qid, ctx);
+            self.check_finalize(qid, ctx);
+        } else {
+            self.forward_query(qid, ctx);
+            ctx.send(self.id, Msg::ComputeLocal { qid });
+        }
     }
 
     /// Final-merge + completion check; called whenever local computation
     /// finishes or a subtree closes.
-    fn check_finalize(&mut self, qid: u32, ctx: &mut dyn Context) {
+    fn check_finalize(&mut self, qid: u32, ctx: &mut dyn Context<Msg>) {
         let ready = {
             let state = self.states.get(&qid).expect("finalize without state");
             !state.finalized && state.local.is_some() && state.outstanding.is_empty()
@@ -418,138 +476,66 @@ impl SuperPeerNode {
         }
         let state = self.states.get_mut(&qid).expect("finalize without state");
         state.finalized = true;
-        let is_initiator = state.parent.is_none();
-        let complete = state.complete;
         ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Finalized });
-
-        if is_initiator {
-            // Merge everything that reached us with our local result.
-            let local = state.local.take().expect("local result checked above");
-            let collected = std::mem::take(&mut state.collected);
-            let subspace = state.subspace;
-            let threshold = state.threshold;
-            let variant = state.variant;
-            let flavour = state.flavour;
-            let final_result = if variant.uses_threshold() {
-                let started = Instant::now();
-                let mut lists: Vec<&SortedDataset> = Vec::with_capacity(collected.len() + 1);
-                lists.push(&local);
-                lists.extend(collected.iter());
-                let index = self.policy.resolve(self.store.len(), subspace);
-                let merged = merge_sorted(&lists, subspace, flavour, threshold, index);
-                ctx.report_work(WorkReport {
-                    dominance_tests: merged.stats.dominance_tests,
-                    points_scanned: merged.stats.points_scanned,
-                    measured: Some(started.elapsed()),
-                });
-                if merged.stats.pruned_by_threshold > 0 {
-                    ctx.note(ProtoEvent::Prune { qid, pruned: merged.stats.pruned_by_threshold });
-                }
-                merged.result
+        let local = state.local.take().expect("local result checked above");
+        let collected = std::mem::take(&mut state.collected);
+        let QueryState { subspace, variant, flavour, threshold, parent, complete, .. } = *state;
+        let index = || self.policy.resolve(self.store.len(), subspace);
+        if let Some(parent) = parent {
+            // Progressive merging sends children + local as one list
+            // (Algorithm 2); under fixed merging the children's lists were
+            // already relayed and the local result goes alone.
+            let answer = if variant.merges_progressively() {
+                merge_reported(&local, &collected, subspace, flavour, threshold, index(), ctx)
+                    .result
             } else {
-                // Naive: plain BNL over the concatenation of all lists.
-                let started = Instant::now();
-                let mut all = PointSet::new(self.store.dim());
-                all.extend_from(local.points());
-                for l in &collected {
-                    all.extend_from(l.points());
-                }
-                let (indices, bstats) = bnl::skyline_with_stats(&all, subspace, flavour);
-                ctx.report_work(WorkReport {
-                    dominance_tests: bstats.dominance_tests,
-                    points_scanned: bstats.points_scanned,
-                    measured: Some(started.elapsed()),
-                });
-                SortedDataset::from_set(&all.gather(&indices))
+                local
             };
-            self.outcomes.push((qid, FinalAnswer { result: final_result, complete }));
-            ctx.finish();
-        } else {
-            let parent = state.parent.expect("non-initiator has a parent");
-            let answer = if state.variant.merges_progressively() {
-                // Merge children + local into one list (Algorithm 2).
-                let local = state.local.take().expect("local result checked above");
-                let collected = std::mem::take(&mut state.collected);
-                let subspace = state.subspace;
-                let threshold = state.threshold;
-                let flavour = state.flavour;
-                let started = Instant::now();
-                let mut lists: Vec<&SortedDataset> = Vec::with_capacity(collected.len() + 1);
-                lists.push(&local);
-                lists.extend(collected.iter());
-                let index = self.policy.resolve(self.store.len(), subspace);
-                let merged = merge_sorted(&lists, subspace, flavour, threshold, index);
-                ctx.report_work(WorkReport {
-                    dominance_tests: merged.stats.dominance_tests,
-                    points_scanned: merged.stats.points_scanned,
-                    measured: Some(started.elapsed()),
-                });
-                merged.result
-            } else {
-                // Fixed merging: children's lists were already relayed; our
-                // final answer carries just the local result.
-                state.local.take().expect("local result checked above")
-            };
-            let msg = Msg::Answer { qid, done: true, complete, points: answer };
-            ctx.send(parent, msg.wire_bytes(), msg.encode());
+            ctx.send(parent, Msg::Answer { qid, done: true, complete, points: Arc::new(answer) });
+            return;
         }
+        // The initiator merges everything that reached it with its local
+        // result.
+        let result = if variant.uses_threshold() {
+            let merged =
+                merge_reported(&local, &collected, subspace, flavour, threshold, index(), ctx);
+            if merged.stats.pruned_by_threshold > 0 {
+                ctx.note(ProtoEvent::Prune { qid, pruned: merged.stats.pruned_by_threshold });
+            }
+            merged.result
+        } else {
+            // Naive: plain BNL over the concatenation of all lists.
+            let started = Instant::now();
+            let mut all = PointSet::new(self.store.dim());
+            all.extend_from(local.points());
+            for l in &collected {
+                all.extend_from(l.points());
+            }
+            let (indices, bstats) = bnl::skyline_with_stats(&all, subspace, flavour);
+            ctx.report_work(WorkReport {
+                dominance_tests: bstats.dominance_tests,
+                points_scanned: bstats.points_scanned,
+                measured: Some(started.elapsed()),
+            });
+            SortedDataset::from_set(&all.gather(&indices))
+        };
+        self.outcomes.push((qid, FinalAnswer { result, complete }));
+        ctx.finish();
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_query(
-        &mut self,
-        from: usize,
-        qid: u32,
-        subspace: Subspace,
-        threshold: f64,
-        variant: Variant,
-        flavour: Dominance,
-        ctx: &mut dyn Context,
-    ) {
+    fn on_query(&mut self, from: usize, q: InitQuery, threshold: f64, ctx: &mut dyn Context<Msg>) {
+        let qid = q.qid;
         if self.states.contains_key(&qid) {
             // Already part of this query's spanning tree via another
             // neighbor.
-            let ack = Msg::DupAck { qid };
-            ctx.send(from, ack.wire_bytes(), ack.encode());
+            ctx.send(from, Msg::DupAck { qid });
             return;
         }
-        self.states.insert(
-            qid,
-            QueryState {
-                subspace,
-                variant,
-                flavour,
-                threshold,
-                parent: Some(from),
-                outstanding: Vec::new(),
-                local: None,
-                collected: Vec::new(),
-                finalized: false,
-                complete: true,
-            },
-        );
+        self.states.insert(qid, QueryState::new(q, threshold, Some(from)));
         ctx.note(ProtoEvent::ThresholdInstall { qid, value: threshold });
         ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Started });
-        if variant.refines_threshold() {
-            // RT*: compute first (tightening the threshold), then forward.
-            self.compute_local(qid, ctx);
-            let sent = self.forward_query(qid, ctx);
-            if !sent.is_empty() {
-                ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Forwarded });
-            }
-            self.states.get_mut(&qid).expect("state installed above").outstanding = sent;
-            self.check_finalize(qid, ctx);
-        } else {
-            // FT*/naive: forward immediately, defer computation so that
-            // query propagation is not serialized behind it.
-            let sent = self.forward_query(qid, ctx);
-            if !sent.is_empty() {
-                ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Forwarded });
-            }
-            self.states.get_mut(&qid).expect("state installed above").outstanding = sent;
-            let tick = Msg::ComputeLocal { qid };
-            ctx.send(self.id, tick.wire_bytes(), tick.encode());
-        }
+        // RT* nodes compute first, tightening the threshold they forward.
+        self.launch(qid, q.variant.refines_threshold(), ctx);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -559,8 +545,8 @@ impl SuperPeerNode {
         qid: u32,
         done: bool,
         complete: bool,
-        points: SortedDataset,
-        ctx: &mut dyn Context,
+        points: Arc<SortedDataset>,
+        ctx: &mut dyn Context<Msg>,
     ) {
         let Some(state) = self.states.get_mut(&qid) else {
             debug_assert!(false, "answer for unknown query {qid}");
@@ -584,8 +570,7 @@ impl SuperPeerNode {
             // list-before-done ordering).
             let parent = state.parent.expect("interior node has a parent");
             if !points.is_empty() {
-                let relay = Msg::Answer { qid, done: false, complete, points };
-                ctx.send(parent, relay.wire_bytes(), relay.encode());
+                ctx.send(parent, Msg::Answer { qid, done: false, complete, points });
             }
         }
         if done {
@@ -596,50 +581,22 @@ impl SuperPeerNode {
     }
 
     /// Start-of-run behavior for one of this node's own queries.
-    fn start_query(&mut self, init: InitQuery, ctx: &mut dyn Context) {
+    fn start_query(&mut self, init: InitQuery, ctx: &mut dyn Context<Msg>) {
         let qid = init.qid;
-        let prev = self.states.insert(
-            qid,
-            QueryState {
-                subspace: init.subspace,
-                variant: init.variant,
-                flavour: init.flavour,
-                threshold: f64::INFINITY,
-                parent: None,
-                outstanding: Vec::new(),
-                local: None,
-                collected: Vec::new(),
-                finalized: false,
-                complete: true,
-            },
-        );
+        let prev = self.states.insert(qid, QueryState::new(init, f64::INFINITY, None));
         assert!(prev.is_none(), "duplicate query id {qid} in one run");
         ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Started });
-        if init.variant.uses_threshold() {
-            // "P_init first executes the local subspace skyline computation
-            // to obtain an initial value for t, and then the query is
-            // forwarded" (Section 5.2.3).
-            self.compute_local(qid, ctx);
-            let sent = self.forward_query(qid, ctx);
-            if !sent.is_empty() {
-                ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Forwarded });
-            }
-            self.states.get_mut(&qid).expect("state installed above").outstanding = sent;
-            self.check_finalize(qid, ctx);
-        } else {
-            let sent = self.forward_query(qid, ctx);
-            if !sent.is_empty() {
-                ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Forwarded });
-            }
-            self.states.get_mut(&qid).expect("state installed above").outstanding = sent;
-            let tick = Msg::ComputeLocal { qid };
-            ctx.send(self.id, tick.wire_bytes(), tick.encode());
-        }
+        // "P_init first executes the local subspace skyline computation to
+        // obtain an initial value for t, and then the query is forwarded"
+        // (Section 5.2.3).
+        self.launch(qid, init.variant.uses_threshold(), ctx);
     }
 }
 
 impl Behavior for SuperPeerNode {
-    fn on_start(&mut self, ctx: &mut dyn Context) {
+    type Msg = Msg;
+
+    fn on_start(&mut self, ctx: &mut dyn Context<Msg>) {
         let inits = std::mem::take(&mut self.init_queries);
         assert!(!inits.is_empty(), "on_start on a node without a query");
         for init in inits {
@@ -647,15 +604,16 @@ impl Behavior for SuperPeerNode {
         }
     }
 
-    fn on_message(&mut self, from: usize, msg: Vec<u8>, ctx: &mut dyn Context) {
-        match Msg::decode(&msg) {
-            Some(Msg::Query { qid, subspace, threshold, variant, flavour }) => {
-                self.on_query(from, qid, subspace, threshold, variant, flavour, ctx);
+    fn on_message(&mut self, from: usize, msg: Msg, ctx: &mut dyn Context<Msg>) {
+        match msg {
+            Msg::Query { qid, subspace, threshold, variant, flavour } => {
+                let q = InitQuery { qid, subspace, variant, flavour };
+                self.on_query(from, q, threshold, ctx);
             }
-            Some(Msg::Answer { qid, done, complete, points }) => {
+            Msg::Answer { qid, done, complete, points } => {
                 self.on_answer(from, qid, done, complete, points, ctx);
             }
-            Some(Msg::DupAck { qid }) => {
+            Msg::DupAck { qid } => {
                 let Some(state) = self.states.get_mut(&qid) else {
                     debug_assert!(false, "dup-ack for unknown query {qid}");
                     return;
@@ -663,19 +621,18 @@ impl Behavior for SuperPeerNode {
                 state.outstanding.retain(|&c| c != from);
                 self.check_finalize(qid, ctx);
             }
-            Some(Msg::ComputeLocal { qid }) => {
+            Msg::ComputeLocal { qid } => {
                 debug_assert!(self.states.contains_key(&qid));
                 self.compute_local(qid, ctx);
                 self.check_finalize(qid, ctx);
             }
-            Some(other @ (Msg::SampleQuery { .. } | Msg::Candidates { .. })) => {
+            other @ (Msg::SampleQuery { .. } | Msg::Candidates { .. }) => {
                 debug_assert!(false, "sampling-backend message at a SKYPEER node: {other:?}");
             }
-            None => debug_assert!(false, "undecodable message from {from}"),
         }
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context) {
+    fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context<Msg>) {
         // The child timeout fired: abandon every subtree that has not
         // closed yet and settle for an incomplete (but still dominance-
         // correct) answer.

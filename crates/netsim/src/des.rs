@@ -6,6 +6,11 @@
 //! transfer delay of `latency + bytes / bandwidth` on its link — the
 //! paper's 4 KB/s-per-connection model.
 //!
+//! Messages are typed values: the simulator hands each one to its receiver
+//! as sent and charges the link [`Wire::wire_bytes`], so no simulated hop
+//! runs the codec. In debug builds every sent message is also encoded and
+//! checked against that size (see [`Wire`]).
+//!
 //! Determinism: given the same behaviors and inputs, runs are bit-for-bit
 //! identical. Time is `u64` nanoseconds; heap ties are broken by an
 //! insertion sequence number.
@@ -81,15 +86,47 @@ pub fn parse_perturb_spec(
     Ok((from, to, LinkModel { latency_ns, ns_per_byte }))
 }
 
+/// A message type the runtimes can carry. The DES moves the values and
+/// charges each link [`Wire::wire_bytes`]; the live runtime moves the
+/// [`Wire::encode`]d bytes and [`Wire::decode`]s them at delivery.
+///
+/// In debug builds the DES checks every sent message: it must decode from
+/// its encoding to an equal value, and the encoding must be exactly
+/// `wire_bytes()` long. A message declaring 0 bytes models local work, not
+/// a transfer: it must be self-addressed and is only round-tripped.
+pub trait Wire: Sized + PartialEq {
+    /// Size on the wire in bytes, computed without encoding.
+    fn wire_bytes(&self) -> u64;
+    /// Serializes the message.
+    fn encode(&self) -> Vec<u8>;
+    /// Deserializes; `None` on malformed input.
+    fn decode(bytes: &[u8]) -> Option<Self>;
+}
+
+/// The debug-build size oracle (see [`Wire`]). Opens no profiling scope,
+/// so profiles are the same in debug and release builds.
+#[cfg(debug_assertions)]
+fn check_wire<M: Wire>(from: usize, to: usize, msg: &M) {
+    let bytes = msg.encode();
+    assert!(M::decode(&bytes).as_ref() == Some(msg), "{from} -> {to}: wire round trip failed");
+    let size = msg.wire_bytes();
+    assert!(
+        size == 0 || size == bytes.len() as u64,
+        "{from} -> {to}: wire_bytes {size} != {}",
+        bytes.len()
+    );
+    assert!(size > 0 || from == to, "{from} -> {to}: a 0-byte message must be self-addressed");
+}
+
 /// What a node can do while handling an event. Implemented by both the DES
 /// and the live runtime.
-pub trait Context {
+pub trait Context<M> {
     /// This node's id.
     fn node_id(&self) -> usize;
     /// Current simulated (or wall) time.
     fn now(&self) -> SimTime;
-    /// Sends `msg` (`bytes` long on the wire) to node `to`.
-    fn send(&mut self, to: usize, bytes: u64, msg: Vec<u8>);
+    /// Sends `msg` to node `to`; it is `msg.wire_bytes()` long on the wire.
+    fn send(&mut self, to: usize, msg: M);
     /// Arms a one-shot timer: [`Behavior::on_timer`] fires on this node
     /// with `tag` after `delay` (simulated or wall time). Timers are local
     /// — they cost no messages and no bytes.
@@ -107,17 +144,18 @@ pub trait Context {
     fn note(&mut self, _ev: ProtoEvent) {}
 }
 
-/// A node's protocol logic. Messages are byte buffers; protocol crates
-/// define their own typed envelope and (de)serialize at the boundary,
-/// which keeps this substrate independent of any particular protocol and
-/// makes wire sizes honest.
+/// A node's protocol logic over its own message type. Handlers receive
+/// typed messages on both runtimes: the DES delivers the values that were
+/// sent, the live runtime the values it decoded from the bytes it moved.
 pub trait Behavior {
+    /// The messages this protocol exchanges.
+    type Msg: Wire;
     /// Invoked once at start-of-run on the designated start node.
-    fn on_start(&mut self, _ctx: &mut dyn Context) {}
+    fn on_start(&mut self, _ctx: &mut dyn Context<Self::Msg>) {}
     /// Invoked for every delivered message.
-    fn on_message(&mut self, from: usize, msg: Vec<u8>, ctx: &mut dyn Context);
+    fn on_message(&mut self, from: usize, msg: Self::Msg, ctx: &mut dyn Context<Self::Msg>);
     /// Invoked when a timer armed via [`Context::set_timer`] expires.
-    fn on_timer(&mut self, _tag: u64, _ctx: &mut dyn Context) {}
+    fn on_timer(&mut self, _tag: u64, _ctx: &mut dyn Context<Self::Msg>) {}
 }
 
 /// Per-node / per-link breakdowns, collected when
@@ -173,32 +211,32 @@ pub struct SimStats {
     pub rounds: u64,
 }
 
-enum Payload {
-    Message { from: usize, msg: Vec<u8> },
+enum Payload<M> {
+    Message { from: usize, msg: M },
     Timer { tag: u64 },
 }
 
-struct Event {
+struct Event<M> {
     time: SimTime,
     seq: u64,
     to: usize,
     /// Causal message depth (see [`SimStats::rounds`]).
     depth: u64,
-    payload: Payload,
+    payload: Payload<M>,
 }
 
-impl PartialEq for Event {
+impl<M> PartialEq for Event<M> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
+impl<M> Eq for Event<M> {}
+impl<M> PartialOrd for Event<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Event {
+impl<M> Ord for Event<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.time.cmp(&other.time).then_with(|| self.seq.cmp(&other.seq))
     }
@@ -216,11 +254,11 @@ pub struct SimOutcome<B> {
 
 /// Failure-injection callback: sees `(from, to, msg)` and returns `true`
 /// to drop the message.
-pub type DropHook = Box<dyn FnMut(usize, usize, &[u8]) -> bool>;
+pub type DropHook<M> = Box<dyn FnMut(usize, usize, &M) -> bool>;
 
 /// Delivery observer: `(time, from, to, msg)` for every delivered message,
 /// in delivery order. For tracing, visualization, and protocol tests.
-pub type TraceHook = Box<dyn FnMut(SimTime, usize, usize, &[u8])>;
+pub type TraceHook<M> = Box<dyn FnMut(SimTime, usize, usize, &M)>;
 
 /// Finish observer: `(node, at)` for every [`Context::finish`] call, in
 /// execution order. Lets a workload driver timestamp each query's
@@ -229,11 +267,11 @@ pub type TraceHook = Box<dyn FnMut(SimTime, usize, usize, &[u8])>;
 pub type FinishHook = Box<dyn FnMut(usize, SimTime)>;
 
 /// Corruption-injection callback: sees `(from, to, msg)` just before
-/// delivery and returns `Some(replacement)` to tamper with the payload.
-/// Timing and declared wire bytes were fixed at send time, so tampering
-/// only changes what the receiver decodes — exactly the silent-corruption
-/// model the online auditor is built to catch.
-pub type TamperHook = Box<dyn FnMut(usize, usize, &[u8]) -> Option<Vec<u8>>>;
+/// delivery and returns `Some(replacement)` to tamper with the message.
+/// Timing and wire bytes were fixed at send time, so tampering only
+/// changes what the receiver gets — exactly the silent-corruption model
+/// the online auditor is built to catch.
+pub type TamperHook<M> = Box<dyn FnMut(usize, usize, &M) -> Option<M>>;
 
 /// The discrete-event simulator.
 pub struct Sim<B: Behavior> {
@@ -245,11 +283,11 @@ pub struct Sim<B: Behavior> {
     link_overrides: HashMap<(usize, usize), LinkModel>,
     cost: CostModel,
     /// Optional failure injection.
-    drop_hook: Option<DropHook>,
+    drop_hook: Option<DropHook<B::Msg>>,
     /// Optional corruption injection.
-    tamper_hook: Option<TamperHook>,
+    tamper_hook: Option<TamperHook<B::Msg>>,
     /// Optional delivery observer.
-    trace_hook: Option<TraceHook>,
+    trace_hook: Option<TraceHook<B::Msg>>,
     /// Optional per-finish observer.
     finish_hook: Option<FinishHook>,
     /// Optional structured-event tracer. With `None` every emission site
@@ -266,10 +304,10 @@ pub struct Sim<B: Behavior> {
 }
 
 /// Context implementation handed to behaviors during DES runs.
-struct DesCtx {
+struct DesCtx<M> {
     node: usize,
     now: SimTime,
-    outbox: Vec<(usize, u64, Vec<u8>)>,
+    outbox: Vec<(usize, M)>,
     timers: Vec<(SimTime, u64)>,
     work: WorkReport,
     /// How many times the handler declared a computation finished (one
@@ -281,7 +319,7 @@ struct DesCtx {
     tracing: bool,
 }
 
-impl DesCtx {
+impl<M> DesCtx<M> {
     fn new(node: usize, now: SimTime, tracing: bool) -> Self {
         DesCtx {
             node,
@@ -296,15 +334,17 @@ impl DesCtx {
     }
 }
 
-impl Context for DesCtx {
+impl<M: Wire> Context<M> for DesCtx<M> {
     fn node_id(&self) -> usize {
         self.node
     }
     fn now(&self) -> SimTime {
         self.now
     }
-    fn send(&mut self, to: usize, bytes: u64, msg: Vec<u8>) {
-        self.outbox.push((to, bytes, msg));
+    fn send(&mut self, to: usize, msg: M) {
+        #[cfg(debug_assertions)]
+        check_wire(self.node, to, &msg);
+        self.outbox.push((to, msg));
     }
     fn set_timer(&mut self, delay: SimTime, tag: u64) {
         self.timers.push((delay, tag));
@@ -328,14 +368,14 @@ impl Context for DesCtx {
 
 /// Mutable per-run simulator state, threaded through
 /// [`Sim::absorb_ctx`].
-struct RunState {
+struct RunState<M> {
     stats: SimStats,
     breakdown: Option<SimBreakdown>,
     busy_until: Vec<SimTime>,
     /// Per directed link: when the link becomes free again. Transfers on
     /// one link serialize (and are therefore FIFO).
     link_free: HashMap<(usize, usize), SimTime>,
-    heap: BinaryHeap<Reverse<Event>>,
+    heap: BinaryHeap<Reverse<Event<M>>>,
     seq: u64,
     finishes_seen: usize,
     finished: Option<SimTime>,
@@ -392,7 +432,7 @@ impl<B: Behavior> Sim<B> {
     /// message that reaches a node.
     pub fn with_trace_hook(
         mut self,
-        hook: impl FnMut(SimTime, usize, usize, &[u8]) + 'static,
+        hook: impl FnMut(SimTime, usize, usize, &B::Msg) + 'static,
     ) -> Self {
         self.trace_hook = Some(Box::new(hook));
         self
@@ -418,20 +458,20 @@ impl<B: Behavior> Sim<B> {
     /// delivery and returns `true` to drop it.
     pub fn with_drop_hook(
         mut self,
-        hook: impl FnMut(usize, usize, &[u8]) -> bool + 'static,
+        hook: impl FnMut(usize, usize, &B::Msg) -> bool + 'static,
     ) -> Self {
         self.drop_hook = Some(Box::new(hook));
         self
     }
 
     /// Installs a corruption-injection hook; it sees every surviving
-    /// message just before delivery and may return a replacement payload.
-    /// Timing and declared wire bytes are unchanged (they were fixed at
-    /// send time), so the tamper is invisible to every performance metric
-    /// — only a correctness audit can notice it.
+    /// message just before delivery and may return a replacement. Timing
+    /// and wire bytes are unchanged (they were fixed at send time), so the
+    /// tamper is invisible to every performance metric — only a
+    /// correctness audit can notice it.
     pub fn with_tamper_hook(
         mut self,
-        hook: impl FnMut(usize, usize, &[u8]) -> Option<Vec<u8>> + 'static,
+        hook: impl FnMut(usize, usize, &B::Msg) -> Option<B::Msg> + 'static,
     ) -> Self {
         self.tamper_hook = Some(Box::new(hook));
         self
@@ -505,43 +545,26 @@ impl<B: Behavior> Sim<B> {
             };
             let (from, msg_or_timer, cause) = match ev.payload {
                 Payload::Message { from, msg } => {
-                    let dead_from = node_dead(from, ev.time, &self.fail_at);
-                    if dead_from || node_dead(ev.to, ev.time, &self.fail_at) {
+                    let reason = if node_dead(from, ev.time, &self.fail_at) {
+                        Some(DropReason::DeadSender)
+                    } else if node_dead(ev.to, ev.time, &self.fail_at) {
+                        Some(DropReason::DeadReceiver)
+                    } else if self.drop_hook.as_mut().is_some_and(|hook| hook(from, ev.to, &msg)) {
+                        Some(DropReason::Injected)
+                    } else {
+                        None
+                    };
+                    if let Some(reason) = reason {
                         rs.stats.dropped += 1;
                         if let Some(tr) = &self.tracer {
-                            tr.record(TraceEvent::Drop {
-                                msg_seq: ev.seq,
-                                at: ev.time,
-                                from,
-                                to: ev.to,
-                                reason: if dead_from {
-                                    DropReason::DeadSender
-                                } else {
-                                    DropReason::DeadReceiver
-                                },
-                            });
+                            let (msg_seq, at, to) = (ev.seq, ev.time, ev.to);
+                            tr.record(TraceEvent::Drop { msg_seq, at, from, to, reason });
                         }
                         continue;
                     }
-                    if let Some(hook) = &mut self.drop_hook {
-                        if hook(from, ev.to, &msg) {
-                            rs.stats.dropped += 1;
-                            if let Some(tr) = &self.tracer {
-                                tr.record(TraceEvent::Drop {
-                                    msg_seq: ev.seq,
-                                    at: ev.time,
-                                    from,
-                                    to: ev.to,
-                                    reason: DropReason::Injected,
-                                });
-                            }
-                            continue;
-                        }
-                    }
-                    let msg = match &mut self.tamper_hook {
-                        Some(hook) => hook(from, ev.to, &msg).unwrap_or(msg),
-                        None => msg,
-                    };
+                    let tampered =
+                        self.tamper_hook.as_mut().and_then(|hook| hook(from, ev.to, &msg));
+                    let msg = tampered.unwrap_or(msg);
                     rs.stats.messages += 1;
                     rs.stats.rounds = rs.stats.rounds.max(ev.depth);
                     if let Some(b) = &mut rs.breakdown {
@@ -599,11 +622,11 @@ impl<B: Behavior> Sim<B> {
     /// invocation (0 for start-of-run).
     fn absorb_ctx(
         &mut self,
-        ctx: DesCtx,
+        ctx: DesCtx<B::Msg>,
         node: usize,
         cause: SpanCause,
         depth: u64,
-        rs: &mut RunState,
+        rs: &mut RunState<B::Msg>,
     ) {
         skypeer_obs::scope!("des::absorb");
         let service = self.cost.service_ns(&ctx.work);
@@ -641,7 +664,8 @@ impl<B: Behavior> Sim<B> {
                 tr.record(TraceEvent::Proto { span, node, at: begin, event: *ev });
             }
         }
-        for (to, bytes, msg) in ctx.outbox {
+        for (to, msg) in ctx.outbox {
+            let bytes = msg.wire_bytes();
             rs.stats.bytes += bytes;
             if let Some(b) = rs.breakdown.as_mut() {
                 *b.link_bytes.entry((node, to)).or_insert(0) += bytes;
@@ -701,8 +725,38 @@ impl<B: Behavior> Sim<B> {
     }
 }
 
+/// The message type of this crate's test behaviors.
+#[cfg(test)]
+pub(crate) mod test_msg {
+    use super::Wire;
+
+    /// A one-byte `tag` padded to `len` bytes (at least 1) on the wire, so
+    /// a test picks each message's size and the encoding is exactly that
+    /// long.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub(crate) struct TestMsg {
+        pub(crate) tag: u8,
+        pub(crate) len: u64,
+    }
+
+    impl Wire for TestMsg {
+        fn wire_bytes(&self) -> u64 {
+            self.len
+        }
+        fn encode(&self) -> Vec<u8> {
+            let mut bytes = vec![0; self.len as usize];
+            bytes[0] = self.tag;
+            bytes
+        }
+        fn decode(bytes: &[u8]) -> Option<Self> {
+            Some(TestMsg { tag: *bytes.first()?, len: bytes.len() as u64 })
+        }
+    }
+}
+
 #[cfg(test)]
 mod unit {
+    use super::test_msg::TestMsg;
     use super::*;
 
     /// A relay ring: node i forwards a counter to (i+1) % n until it
@@ -714,17 +768,18 @@ mod unit {
     }
 
     impl Behavior for Ring {
-        fn on_start(&mut self, ctx: &mut dyn Context) {
-            ctx.send((ctx.node_id() + 1) % self.n, 100, vec![0]);
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
+            ctx.send((ctx.node_id() + 1) % self.n, TestMsg { tag: 0, len: 100 });
         }
-        fn on_message(&mut self, _from: usize, msg: Vec<u8>, ctx: &mut dyn Context) {
+        fn on_message(&mut self, _from: usize, msg: TestMsg, ctx: &mut dyn Context<TestMsg>) {
             self.seen += 1;
-            let hop = msg[0] as u64 + 1;
+            let hop = msg.tag as u64 + 1;
             ctx.report_work(WorkReport { dominance_tests: 10, points_scanned: 1, measured: None });
             if hop >= self.hops {
                 ctx.finish();
             } else {
-                ctx.send((ctx.node_id() + 1) % self.n, 100, vec![hop as u8]);
+                ctx.send((ctx.node_id() + 1) % self.n, TestMsg { tag: hop as u8, len: 100 });
             }
         }
     }
@@ -807,11 +862,11 @@ mod unit {
         let mut tampered = false;
         let out = Sim::new(ring(4, 6), LinkModel::paper_4kbps(), CostModel::default())
             .with_tamper_hook(move |_, _, msg| {
-                if tampered || msg[0] != 1 {
+                if tampered || msg.tag != 1 {
                     return None;
                 }
                 tampered = true;
-                Some(vec![0])
+                Some(TestMsg { tag: 0, ..*msg })
             })
             .run(0);
         assert!(out.stats.finished_at.is_some());
@@ -869,15 +924,16 @@ mod unit {
         Snk(Sink),
     }
     impl Behavior for Node {
-        fn on_start(&mut self, ctx: &mut dyn Context) {
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
             if let Node::Src(_) = self {
-                ctx.send(1, 0, vec![1]);
-                ctx.send(1, 0, vec![2]);
+                ctx.send(1, TestMsg { tag: 1, len: 1 });
+                ctx.send(1, TestMsg { tag: 2, len: 1 });
             }
         }
-        fn on_message(&mut self, from: usize, msg: Vec<u8>, ctx: &mut dyn Context) {
+        fn on_message(&mut self, from: usize, msg: TestMsg, ctx: &mut dyn Context<TestMsg>) {
             if let Node::Snk(s) = self {
-                s.got.push((msg[0] as usize, ctx.now()));
+                s.got.push((msg.tag as usize, ctx.now()));
                 ctx.report_work(WorkReport {
                     dominance_tests: 0,
                     points_scanned: 100,
@@ -906,12 +962,13 @@ mod unit {
             fired: Vec<(u64, SimTime)>,
         }
         impl Behavior for Waiter {
-            fn on_start(&mut self, ctx: &mut dyn Context) {
+            type Msg = TestMsg;
+            fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
                 ctx.set_timer(5_000, 7);
                 ctx.set_timer(1_000, 3);
             }
-            fn on_message(&mut self, _f: usize, _m: Vec<u8>, _c: &mut dyn Context) {}
-            fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context) {
+            fn on_message(&mut self, _f: usize, _m: TestMsg, _c: &mut dyn Context<TestMsg>) {}
+            fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context<TestMsg>) {
                 self.fired.push((tag, ctx.now()));
                 if self.fired.len() == 2 {
                     ctx.finish();
@@ -955,12 +1012,13 @@ mod unit {
             fired: bool,
         }
         impl Behavior for T {
-            fn on_start(&mut self, ctx: &mut dyn Context) {
+            type Msg = TestMsg;
+            fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
                 ctx.set_timer(1_000, 1);
                 ctx.set_timer(10_000, 2);
             }
-            fn on_message(&mut self, _f: usize, _m: Vec<u8>, _c: &mut dyn Context) {}
-            fn on_timer(&mut self, tag: u64, _c: &mut dyn Context) {
+            fn on_message(&mut self, _f: usize, _m: TestMsg, _c: &mut dyn Context<TestMsg>) {}
+            fn on_timer(&mut self, tag: u64, _c: &mut dyn Context<TestMsg>) {
                 if tag == 2 {
                     self.fired = true;
                 }
@@ -986,15 +1044,16 @@ mod unit {
             Dst(Dst),
         }
         impl Behavior for N {
-            fn on_start(&mut self, ctx: &mut dyn Context) {
+            type Msg = TestMsg;
+            fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
                 if let N::Src(_) = self {
-                    ctx.send(1, 1_000_000, vec![1]);
-                    ctx.send(1, 1, vec![2]);
+                    ctx.send(1, TestMsg { tag: 1, len: 1_000_000 });
+                    ctx.send(1, TestMsg { tag: 2, len: 1 });
                 }
             }
-            fn on_message(&mut self, _f: usize, msg: Vec<u8>, ctx: &mut dyn Context) {
+            fn on_message(&mut self, _f: usize, msg: TestMsg, ctx: &mut dyn Context<TestMsg>) {
                 if let N::Dst(d) = self {
-                    d.got.push(msg[0]);
+                    d.got.push(msg.tag);
                     if d.got.len() == 2 {
                         ctx.finish();
                     }
@@ -1017,33 +1076,93 @@ mod unit {
     fn runaway_protocol_trips_cap() {
         struct Forever;
         impl Behavior for Forever {
-            fn on_start(&mut self, ctx: &mut dyn Context) {
-                ctx.send(0, 1, vec![]);
+            type Msg = TestMsg;
+            fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
+                ctx.send(0, TestMsg { tag: 0, len: 1 });
             }
-            fn on_message(&mut self, _f: usize, _m: Vec<u8>, ctx: &mut dyn Context) {
-                ctx.send(0, 1, vec![]);
+            fn on_message(&mut self, _f: usize, _m: TestMsg, ctx: &mut dyn Context<TestMsg>) {
+                ctx.send(0, TestMsg { tag: 0, len: 1 });
             }
         }
         let _ = Sim::new(vec![Forever], LinkModel::zero_delay(), CostModel::default())
             .with_max_events(1000)
             .run(0);
     }
+
+    /// The debug-build size oracle.
+    #[cfg(debug_assertions)]
+    mod oracle {
+        use super::*;
+
+        /// A message declaring `.0` wire bytes; its encoding is always the
+        /// 8 bytes of that number.
+        #[derive(Debug, PartialEq)]
+        struct Declared(u64);
+
+        impl Wire for Declared {
+            fn wire_bytes(&self) -> u64 {
+                self.0
+            }
+            fn encode(&self) -> Vec<u8> {
+                self.0.to_be_bytes().to_vec()
+            }
+            fn decode(bytes: &[u8]) -> Option<Self> {
+                Some(Declared(u64::from_be_bytes(bytes.try_into().ok()?)))
+            }
+        }
+
+        /// Sends one `Declared(.0)` to node `.1` at start.
+        struct SendOnce(u64, usize);
+
+        impl Behavior for SendOnce {
+            type Msg = Declared;
+            fn on_start(&mut self, ctx: &mut dyn Context<Declared>) {
+                ctx.send(self.1, Declared(self.0));
+            }
+            fn on_message(&mut self, _f: usize, _m: Declared, _c: &mut dyn Context<Declared>) {}
+        }
+
+        fn send_once(declared: u64, to: usize) {
+            let nodes = vec![SendOnce(declared, to), SendOnce(declared, to)];
+            Sim::new(nodes, LinkModel::zero_delay(), CostModel::default()).run(0);
+        }
+
+        #[test]
+        fn honest_sizes_pass() {
+            send_once(8, 1);
+            send_once(0, 0);
+        }
+
+        #[test]
+        #[should_panic(expected = "wire_bytes 9 != 8")]
+        fn a_size_its_encoding_disagrees_with_panics() {
+            send_once(9, 1);
+        }
+
+        #[test]
+        #[should_panic(expected = "0 -> 1: a 0-byte message must be self-addressed")]
+        fn a_zero_byte_message_to_another_node_panics() {
+            send_once(0, 1);
+        }
+    }
 }
 
 #[cfg(test)]
 mod breakdown_tests {
+    use super::test_msg::TestMsg;
     use super::*;
 
     struct Fan {
         n: usize,
     }
     impl Behavior for Fan {
-        fn on_start(&mut self, ctx: &mut dyn Context) {
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
             for to in 1..self.n {
-                ctx.send(to, 100 * to as u64, vec![]);
+                ctx.send(to, TestMsg { tag: 0, len: 100 * to as u64 });
             }
         }
-        fn on_message(&mut self, _f: usize, _m: Vec<u8>, ctx: &mut dyn Context) {
+        fn on_message(&mut self, _f: usize, _m: TestMsg, ctx: &mut dyn Context<TestMsg>) {
             ctx.report_work(WorkReport {
                 dominance_tests: 10 * ctx.node_id() as u64,
                 points_scanned: 0,
@@ -1102,6 +1221,7 @@ mod breakdown_tests {
 
 #[cfg(test)]
 mod tracer_tests {
+    use super::test_msg::TestMsg;
     use super::*;
     use skypeer_obs::{critical_path, MemTracer};
 
@@ -1110,17 +1230,18 @@ mod tracer_tests {
         hops: u64,
     }
     impl Behavior for Relay {
-        fn on_start(&mut self, ctx: &mut dyn Context) {
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
             ctx.note(ProtoEvent::Phase { qid: 1, phase: skypeer_obs::QueryPhase::Started });
-            ctx.send((ctx.node_id() + 1) % self.n, 100, vec![0]);
+            ctx.send((ctx.node_id() + 1) % self.n, TestMsg { tag: 0, len: 100 });
         }
-        fn on_message(&mut self, _from: usize, msg: Vec<u8>, ctx: &mut dyn Context) {
-            let hop = msg[0] as u64 + 1;
+        fn on_message(&mut self, _from: usize, msg: TestMsg, ctx: &mut dyn Context<TestMsg>) {
+            let hop = msg.tag as u64 + 1;
             ctx.report_work(WorkReport { dominance_tests: 5, points_scanned: 2, measured: None });
             if hop >= self.hops {
                 ctx.finish();
             } else {
-                ctx.send((ctx.node_id() + 1) % self.n, 100, vec![hop as u8]);
+                ctx.send((ctx.node_id() + 1) % self.n, TestMsg { tag: hop as u8, len: 100 });
             }
         }
     }

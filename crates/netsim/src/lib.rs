@@ -22,7 +22,12 @@
 //!   protocol against actual concurrency.
 //!
 //! Protocol logic is written once against the [`Behavior`]/[`Context`]
-//! traits and runs unchanged on both runtimes.
+//! traits and runs unchanged on both runtimes. A protocol brings its own
+//! message type, implementing [`Wire`]: the DES delivers the typed values
+//! and charges each link their [`Wire::wire_bytes`], while the live runtime
+//! moves their encoded bytes and decodes them at the receiver. In debug
+//! builds the DES also encodes every sent message and checks its round
+//! trip and size, so the codec the live runtime relies on stays honest.
 //!
 //! Both runtimes accept an optional [`obs::Tracer`] and emit structured
 //! [`obs::TraceEvent`]s (service spans, message movement, timers,
@@ -39,7 +44,7 @@ pub mod topology;
 pub use skypeer_obs as obs;
 
 pub use cost::CostModel;
-pub use des::{Behavior, Context, LinkModel, Sim, SimBreakdown, SimStats, SimTime};
+pub use des::{Behavior, Context, LinkModel, Sim, SimBreakdown, SimStats, SimTime, Wire};
 pub use topology::{Topology, TopologyModel, TopologySpec};
 
 #[cfg(test)]

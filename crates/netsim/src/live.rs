@@ -8,6 +8,12 @@
 //! example. Scale it to hundreds of nodes, not tens of thousands — that is
 //! what the DES is for.
 //!
+//! Unlike the DES, the channels carry real bytes: [`Context::send`]
+//! encodes each message and the receiving thread decodes it before the
+//! handler runs, so an undecodable payload never reaches a handler. The
+//! two codec calls are the `wire::encode` and `wire::decode` profiling
+//! scopes.
+//!
 //! Like the DES, the runtime accepts an optional [`Tracer`]
 //! ([`run_live_multi_traced`]). Timestamps are nanoseconds since run
 //! start; there is no link model, so a message's `queued_at`, `sent_at`
@@ -16,7 +22,7 @@
 //! traces.
 
 use crate::cost::WorkReport;
-use crate::des::{Behavior, Context, SimTime};
+use crate::des::{Behavior, Context, SimTime, Wire};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use skypeer_obs::{DropReason, ProtoEvent, SamplerHandle, SpanCause, TraceEvent, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 enum Envelope {
-    App { seq: u64, from: usize, msg: Vec<u8> },
+    App { seq: u64, from: usize, payload: Vec<u8> },
     Shutdown,
 }
 
@@ -33,7 +39,7 @@ enum Envelope {
 pub struct LiveStats {
     /// Messages delivered to handlers.
     pub messages: u64,
-    /// Bytes put on the wire (as declared by senders).
+    /// Bytes put on the wire ([`Wire::wire_bytes`] of every send).
     pub bytes: u64,
     /// Wall-clock duration until `finish` was signalled.
     pub elapsed: Duration,
@@ -78,18 +84,23 @@ struct LiveCtx<'a> {
     finishes: usize,
 }
 
-impl Context for LiveCtx<'_> {
+impl<M: Wire> Context<M> for LiveCtx<'_> {
     fn node_id(&self) -> usize {
         self.node
     }
     fn now(&self) -> SimTime {
         ns_since(self.started)
     }
-    fn send(&mut self, to: usize, bytes: u64, msg: Vec<u8>) {
+    fn send(&mut self, to: usize, msg: M) {
+        let bytes = msg.wire_bytes();
+        let payload = {
+            skypeer_obs::scope!("wire::encode");
+            msg.encode()
+        };
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
         let seq = self.msg_seq.fetch_add(1, Ordering::Relaxed);
-        let now = self.now();
+        let now = ns_since(self.started);
         if let Some(tr) = self.tracer {
             tr.record(TraceEvent::Send {
                 msg_seq: seq,
@@ -104,7 +115,7 @@ impl Context for LiveCtx<'_> {
         }
         // A send to a node that already shut down is a no-op, mirroring a
         // network send to a departed peer.
-        if self.senders[to].send(Envelope::App { seq, from: self.node, msg }).is_err() {
+        if self.senders[to].send(Envelope::App { seq, from: self.node, payload }).is_err() {
             if let Some(tr) = self.tracer {
                 tr.record(TraceEvent::Drop {
                     msg_seq: seq,
@@ -123,7 +134,7 @@ impl Context for LiveCtx<'_> {
                 timer_seq: seq,
                 span: self.span,
                 node: self.node,
-                fire_at: self.now() + delay,
+                fire_at: ns_since(self.started) + delay,
                 tag,
             });
         }
@@ -244,7 +255,7 @@ where
             let serve = |node: &mut B,
                          timers: &mut Vec<(Instant, u64, u64)>,
                          cause: SpanCause,
-                         input: Option<(usize, Vec<u8>)>,
+                         input: Option<(usize, B::Msg)>,
                          timer_tag: u64| {
                 let span = span_seq.fetch_add(1, Ordering::Relaxed);
                 let begin = ns_since(started);
@@ -325,7 +336,12 @@ where
                     },
                 };
                 match env {
-                    Envelope::App { seq, from, msg } => {
+                    Envelope::App { seq, from, payload } => {
+                        let decoded = {
+                            skypeer_obs::scope!("wire::decode");
+                            B::Msg::decode(&payload)
+                        };
+                        let Some(msg) = decoded else { continue };
                         if let Some(tr) = &tracer {
                             tr.record(TraceEvent::Deliver {
                                 msg_seq: seq,
@@ -380,6 +396,7 @@ where
 #[cfg(test)]
 mod unit {
     use super::*;
+    use crate::des::test_msg::TestMsg;
     use skypeer_obs::MemTracer;
 
     struct Ring {
@@ -388,15 +405,16 @@ mod unit {
     }
 
     impl Behavior for Ring {
-        fn on_start(&mut self, ctx: &mut dyn Context) {
-            ctx.send((ctx.node_id() + 1) % self.n, 64, vec![0]);
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
+            ctx.send((ctx.node_id() + 1) % self.n, TestMsg { tag: 0, len: 64 });
         }
-        fn on_message(&mut self, _from: usize, msg: Vec<u8>, ctx: &mut dyn Context) {
-            let hop = u64::from(msg[0]) + 1;
+        fn on_message(&mut self, _from: usize, msg: TestMsg, ctx: &mut dyn Context<TestMsg>) {
+            let hop = u64::from(msg.tag) + 1;
             if hop >= self.hops {
                 ctx.finish();
             } else {
-                ctx.send((ctx.node_id() + 1) % self.n, 64, vec![hop as u8]);
+                ctx.send((ctx.node_id() + 1) % self.n, TestMsg { tag: hop as u8, len: 64 });
             }
         }
     }
@@ -415,7 +433,8 @@ mod unit {
     fn timeout_returns_none() {
         struct Mute;
         impl Behavior for Mute {
-            fn on_message(&mut self, _f: usize, _m: Vec<u8>, _c: &mut dyn Context) {}
+            type Msg = TestMsg;
+            fn on_message(&mut self, _f: usize, _m: TestMsg, _c: &mut dyn Context<TestMsg>) {}
         }
         let out = run_live(vec![Mute, Mute], 0, Duration::from_millis(50));
         assert!(out.is_none(), "nothing ever finishes");
@@ -425,10 +444,11 @@ mod unit {
     fn nodes_returned_in_id_order() {
         struct Tag(usize);
         impl Behavior for Tag {
-            fn on_start(&mut self, ctx: &mut dyn Context) {
+            type Msg = TestMsg;
+            fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
                 ctx.finish();
             }
-            fn on_message(&mut self, _f: usize, _m: Vec<u8>, _c: &mut dyn Context) {}
+            fn on_message(&mut self, _f: usize, _m: TestMsg, _c: &mut dyn Context<TestMsg>) {}
         }
         let out =
             run_live(vec![Tag(0), Tag(1), Tag(2)], 0, Duration::from_secs(1)).expect("finishes");

@@ -2,6 +2,7 @@
 //! invariants under randomized relay protocols.
 
 use crate::cost::{CostModel, WorkReport};
+use crate::des::test_msg::TestMsg;
 use crate::des::{Behavior, Context, LinkModel, Sim, SimTime};
 use proptest::prelude::*;
 
@@ -16,14 +17,15 @@ struct Scripted {
 }
 
 impl Behavior for Scripted {
-    fn on_start(&mut self, ctx: &mut dyn Context) {
+    type Msg = TestMsg;
+    fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
         if let Some(batch) = self.script.pop() {
-            for (to, bytes) in batch {
-                ctx.send(to, bytes, vec![0]);
+            for (to, len) in batch {
+                ctx.send(to, TestMsg { tag: 0, len });
             }
         }
     }
-    fn on_message(&mut self, from: usize, _msg: Vec<u8>, ctx: &mut dyn Context) {
+    fn on_message(&mut self, from: usize, _msg: TestMsg, ctx: &mut dyn Context<TestMsg>) {
         self.delivered.push((from, ctx.now()));
         ctx.report_work(WorkReport {
             dominance_tests: self.work_per_msg,
@@ -31,8 +33,8 @@ impl Behavior for Scripted {
             measured: None,
         });
         if let Some(batch) = self.script.pop() {
-            for (to, bytes) in batch {
-                ctx.send(to, bytes, vec![0]);
+            for (to, len) in batch {
+                ctx.send(to, TestMsg { tag: 0, len });
             }
         }
     }

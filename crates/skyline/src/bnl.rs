@@ -32,6 +32,7 @@ pub fn skyline_with_stats(
     u: Subspace,
     flavour: Dominance,
 ) -> (Vec<usize>, BnlStats) {
+    skypeer_obs::scope!("skyline::bnl");
     let mut stats = BnlStats::default();
     // The window holds indices of current candidates.
     let mut window: Vec<usize> = Vec::new();

@@ -13,7 +13,7 @@ use skypeer::core::preprocess::SuperPeerStore;
 use skypeer::core::Variant;
 use skypeer::data::{DatasetKind, DatasetSpec};
 use skypeer::netsim::cost::CostModel;
-use skypeer::netsim::des::{LinkModel, Sim};
+use skypeer::netsim::des::{LinkModel, Sim, Wire};
 use skypeer::netsim::topology::TopologySpec;
 use skypeer::prelude::*;
 use skypeer::skyline::DominanceIndex;
@@ -69,31 +69,26 @@ fn main() {
     let log: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
     let log_ref = Rc::clone(&log);
     let out = Sim::new(nodes, LinkModel::paper_4kbps(), CostModel::default())
-        .with_trace_hook(move |time, from, to, raw| {
-            let what = match Msg::decode(raw) {
-                Some(Msg::Query { threshold, .. }) => {
-                    format!("QUERY    t={threshold:.3}")
-                }
-                Some(Msg::Answer { done, complete, points, .. }) => format!(
+        .with_trace_hook(move |time, from, to, msg| {
+            let what = match msg {
+                Msg::Query { threshold, .. } => format!("QUERY    t={threshold:.3}"),
+                Msg::Answer { done, complete, points, .. } => format!(
                     "ANSWER   {} points{}{}",
                     points.len(),
-                    if done { ", subtree done" } else { "" },
-                    if complete { "" } else { ", INCOMPLETE" },
+                    if *done { ", subtree done" } else { "" },
+                    if *complete { "" } else { ", INCOMPLETE" },
                 ),
-                Some(Msg::DupAck { .. }) => "DUP-ACK  (not your child)".to_string(),
-                Some(Msg::ComputeLocal { .. }) => "compute  (local, deferred)".to_string(),
-                Some(Msg::SampleQuery { filter, .. }) => {
+                Msg::DupAck { .. } => "DUP-ACK  (not your child)".to_string(),
+                Msg::ComputeLocal { .. } => "compute  (local, deferred)".to_string(),
+                Msg::SampleQuery { filter, .. } => {
                     format!("SAMPLE-Q {} filter points", filter.len())
                 }
-                Some(Msg::Candidates { points, .. }) => {
-                    format!("CANDS    {} points", points.len())
-                }
-                None => "???".to_string(),
+                Msg::Candidates { points, .. } => format!("CANDS    {} points", points.len()),
             };
             log_ref.borrow_mut().push(format!(
                 "t={:>9.3}ms  SP{from} → SP{to:<2} {:>4}B  {what}",
                 time as f64 / 1e6,
-                raw.len(),
+                msg.wire_bytes(),
             ));
         })
         .run(initiator);

@@ -2,7 +2,7 @@
 //! the DES and the live runtime → verify exactness against the raw data.
 
 use skypeer::core::engine::{EngineConfig, SkypeerEngine};
-use skypeer::core::live::run_query_live;
+use skypeer::core::live::{run_query_live, run_query_live_ext};
 use skypeer::core::verify::{exact_skyline_ids, global_dataset};
 use skypeer::core::Variant;
 use skypeer::data::{DatasetKind, DatasetSpec, Query, WorkloadSpec};
@@ -81,26 +81,32 @@ fn anticorrelated_stress_is_exact() {
     }
 }
 
+/// The live runtime is the one path where the codec moves real bytes, so
+/// its answers must equal the DES's in both dominance flavours.
 #[test]
 fn des_and_live_agree_for_every_variant() {
     let cfg = config(DatasetKind::Uniform, 4, 24, 33);
     let engine = SkypeerEngine::build(cfg);
     let stores: Vec<Arc<_>> =
         (0..cfg.n_superpeers).map(|sp| Arc::new(engine.store(sp).clone())).collect();
-    let q = Query { subspace: Subspace::from_dims(&[0, 2]), initiator: 1 };
-    for variant in Variant::ALL {
-        let des = engine.run_query(q, variant);
-        let live = run_query_live(
-            engine.topology(),
-            &stores,
-            q.subspace,
-            q.initiator,
-            variant,
-            cfg.index,
-            Duration::from_secs(30),
-        )
-        .unwrap_or_else(|| panic!("live {variant} must complete"));
-        assert_eq!(des.result_ids, live.result_ids, "variant {variant}");
+    let timeout = Duration::from_secs(30);
+    for (dims, initiator) in [(&[0, 2][..], 1), (&[1, 3], 4), (&[0, 1, 3], 5)] {
+        let q = Query { subspace: Subspace::from_dims(dims), initiator };
+        for variant in Variant::ALL {
+            let (topo, index) = (engine.topology(), cfg.index);
+            let live =
+                run_query_live(topo, &stores, q.subspace, initiator, variant, index, timeout);
+            let live_ext =
+                run_query_live_ext(topo, &stores, q.subspace, initiator, variant, index, timeout);
+            for (flavour, des, live) in [
+                ("standard", engine.run_query(q, variant), live),
+                ("extended", engine.run_query_ext_observed(q, variant, None), live_ext),
+            ] {
+                let live = live.unwrap_or_else(|| panic!("live {flavour} {variant} {q:?} hung"));
+                assert!(des.complete && live.complete, "{flavour} {variant} {q:?}");
+                assert_eq!(des.result_ids, live.result_ids, "{flavour} {variant} {q:?}");
+            }
+        }
     }
 }
 
