@@ -201,12 +201,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             if cache_bytes.is_some() {
                 return Err("--perturb-link and --cache are incompatible".into());
             }
+            let (from, to, link) =
+                skypeer_netsim::des::parse_perturb_spec(&s, LinkModel::paper_4kbps())?;
+            if from >= n_superpeers || to >= n_superpeers {
+                return Err("--perturb-link node out of range".into());
+            }
             Some(SoakPerturb {
                 after: parse(args, "--perturb-after", 0usize)?,
-                overrides: vec![skypeer_netsim::des::parse_perturb_spec(
-                    &s,
-                    LinkModel::paper_4kbps(),
-                )?],
+                overrides: vec![(from, to, link)],
             })
         }
         None => {

@@ -141,7 +141,7 @@ fn measure(
         n_superpeers: engine.config().n_superpeers,
         seed,
     };
-    let outcomes = engine.run_workload(&spec.generate(), variant);
+    let outcomes: Vec<_> = spec.generate().iter().map(|q| engine.run_query(*q, variant)).collect();
     let m = QueryMetrics::from_outcomes(&outcomes);
     acc.add(&m, queries);
     m

@@ -27,7 +27,7 @@
 //! but never fatal.
 
 use skypeer_core::cached::CachedEngine;
-use skypeer_core::{EngineConfig, SkypeerEngine, Variant};
+use skypeer_core::{EngineConfig, QueryRequest, SkypeerEngine, Variant};
 use skypeer_data::{DatasetKind, DatasetSpec, Query};
 use skypeer_netsim::cost::CostModel;
 use skypeer_netsim::des::LinkModel;
@@ -398,18 +398,11 @@ pub fn run_pinned_full() -> (Vec<BenchEntry>, Vec<FigureDigest>) {
         let variant = Variant::Ftpm;
         let mut cached = CachedEngine::new(&engine, 4 << 20);
         let started = Instant::now();
+        let req = QueryRequest::new(p.query, variant);
         let cold_tracer = Arc::new(MemTracer::new());
-        let cold = cached.run_query_traced(
-            p.query,
-            variant,
-            Some(Arc::clone(&cold_tracer) as Arc<dyn Tracer>),
-        );
+        let cold = cached.run_query(&req, Some(Arc::clone(&cold_tracer) as Arc<dyn Tracer>));
         let warm_tracer = Arc::new(MemTracer::new());
-        let warm = cached.run_query_traced(
-            p.query,
-            variant,
-            Some(Arc::clone(&warm_tracer) as Arc<dyn Tracer>),
-        );
+        let warm = cached.run_query(&req, Some(Arc::clone(&warm_tracer) as Arc<dyn Tracer>));
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let mut events = cold_tracer.take();
         events.extend(warm_tracer.take());
@@ -444,12 +437,11 @@ pub fn run_pinned_full() -> (Vec<BenchEntry>, Vec<FigureDigest>) {
         // head-to-head with the SKYPEER variants on identical figures.
         let tracer = Arc::new(MemTracer::new());
         let started = Instant::now();
-        let out = engine.run_query_on_backend(
-            skypeer_core::BackendKind::Sampling,
-            p.query,
-            Variant::Ftpm,
-            Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-        );
+        let req = QueryRequest {
+            backend: skypeer_core::BackendKind::Sampling,
+            ..QueryRequest::new(p.query, Variant::Ftpm)
+        };
+        let out = engine.execute(&req, Some(Arc::clone(&tracer) as Arc<dyn Tracer>));
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let events = tracer.take();
         let m = MetricsRegistry::from_events(&events);
@@ -498,8 +490,9 @@ pub fn run_pinned_cpu_profile() -> String {
         }
         let (profile, _) = prof::profiled(ClockMode::Monotonic, || {
             let mut cached = CachedEngine::new(&engine, 4 << 20);
-            cached.run_query(p.query, Variant::Ftpm);
-            cached.run_query(p.query, Variant::Ftpm)
+            let req = QueryRequest::new(p.query, Variant::Ftpm);
+            cached.run_query(&req, None);
+            cached.run_query(&req, None)
         });
         block(p.figure, "FTPM+cache", &profile);
     }

@@ -2,7 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use skypeer_core::engine::{EngineConfig, QueryMetrics, SkypeerEngine};
-use skypeer_core::Variant;
+use skypeer_core::{BackendKind, FaultPlan, QueryOutcome, QueryRequest, Variant};
 use skypeer_data::{DatasetKind, DatasetSpec, Query, WorkloadSpec};
 use skypeer_netsim::cost::CostModel;
 use skypeer_netsim::des::LinkModel;
@@ -73,7 +73,7 @@ fn variant_from(args: &Args) -> Result<Variant, ArgError> {
 /// Parses the shared `--backend` flag (default `skypeer`). The unknown-
 /// backend error text is pinned in [`skypeer_core::parse_backend`] so
 /// every subcommand and the soak binary report it identically.
-fn backend_from(args: &Args) -> Result<skypeer_core::BackendKind, ArgError> {
+fn backend_from(args: &Args) -> Result<BackendKind, ArgError> {
     skypeer_core::parse_backend(&args.str_or("backend", "skypeer")).map_err(ArgError)
 }
 
@@ -81,15 +81,21 @@ fn backend_from(args: &Args) -> Result<skypeer_core::BackendKind, ArgError> {
 /// against an already-built engine. Shared by `query`/`trace`/`explain`
 /// (and, per workload query, by `soak`'s replay digest).
 fn query_from(args: &Args, engine: &SkypeerEngine) -> Result<Query, ArgError> {
-    let dims: Vec<usize> = args.list_or("dims", &[0usize, 1, 2])?;
+    let subspace = subspace_from(args, engine)?;
     let initiator: usize = args.get_or("initiator", 0)?;
-    if dims.iter().any(|&d| d >= engine.config().dataset.dim) {
-        return Err(ArgError("--dims index out of range for --dim".into()));
-    }
     if initiator >= engine.config().n_superpeers {
         return Err(ArgError("--initiator out of range".into()));
     }
-    Ok(Query { subspace: Subspace::from_dims(&dims), initiator })
+    Ok(Query { subspace, initiator })
+}
+
+/// Parses `--dims` (default `0,1,2`), every one below the engine's `--dim`.
+fn subspace_from(args: &Args, engine: &SkypeerEngine) -> Result<Subspace, ArgError> {
+    let dims: Vec<usize> = args.list_or("dims", &[0usize, 1, 2])?;
+    if dims.iter().any(|&d| d >= engine.config().dataset.dim) {
+        return Err(ArgError("--dims index out of range for --dim".into()));
+    }
+    Ok(Subspace::from_dims(&dims))
 }
 
 /// Network/query flags that a pinned `--figure` fixes; giving both is a
@@ -177,11 +183,11 @@ pub fn query(args: &Args) -> Result<(), ArgError> {
     // The default backend keeps the original (golden-pinned) execution
     // path and output; other backends report themselves and their rounds.
     let out = match backend {
-        skypeer_core::BackendKind::Skypeer => engine.run_query(q, variant),
-        other => engine.run_query_on_backend(other, q, variant, None),
+        BackendKind::Skypeer => engine.run_query(q, variant),
+        backend => engine.execute(&QueryRequest { backend, ..QueryRequest::new(q, variant) }, None),
     };
     println!("query     : skyline on {} from SP{} via {variant}", q.subspace, q.initiator);
-    if backend != skypeer_core::BackendKind::default() {
+    if backend != BackendKind::default() {
         println!("backend   : {backend} ({} rounds)", out.rounds);
     }
     println!("result    : {} points (exact)", out.result_ids.len());
@@ -236,33 +242,22 @@ pub fn trace(args: &Args) -> Result<(), ArgError> {
     };
 
     let tracer = Arc::new(MemTracer::new());
-    // The default backend keeps the original (golden-pinned) paths; other
-    // backends run through the trait seam with the same tracer/overrides.
-    let out = if backend != skypeer_core::BackendKind::default() {
-        skypeer_core::backend_for(backend).run_observed(
-            &engine,
-            q,
-            variant,
-            Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-            &overrides,
-        )
-    } else if overrides.is_empty() {
+    let req = QueryRequest { backend, link_overrides: overrides, ..QueryRequest::new(q, variant) };
+    // The plain SKYPEER query keeps run_query's two simulations (the
+    // golden-pinned path); any other request runs once, with the same
+    // tracer.
+    let out = if backend == BackendKind::Skypeer && req.link_overrides.is_empty() {
         engine.run_query_traced(q, variant, Arc::clone(&tracer) as Arc<dyn Tracer>)
     } else {
-        engine.run_query_observed_perturbed(
-            q,
-            variant,
-            &overrides,
-            Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-        )
+        engine.execute(&req, Some(Arc::clone(&tracer) as Arc<dyn Tracer>))
     };
     let events = tracer.take();
 
     println!("query     : skyline on {} from SP{} via {variant}", q.subspace, q.initiator);
-    if backend != skypeer_core::BackendKind::default() {
+    if backend != BackendKind::default() {
         println!("backend   : {backend} ({} rounds)", out.rounds);
     }
-    for (from, to, link) in &overrides {
+    for (from, to, link) in &req.link_overrides {
         println!(
             "perturbed : SP{from} -> SP{to} latency {} ns, {} ns/byte",
             link.latency_ns, link.ns_per_byte
@@ -345,7 +340,7 @@ pub fn explain(args: &Args) -> Result<(), ArgError> {
     let backend = backend_from(args)?;
     let json = args.flag("json")?;
     args.reject_unknown()?;
-    if backend != skypeer_core::BackendKind::default() {
+    if backend != BackendKind::default() {
         return Err(ArgError(format!(
             "explain supports only the skypeer backend (the {backend} protocol has no \
              threshold/merge plan to explain)"
@@ -369,7 +364,6 @@ pub fn explain(args: &Args) -> Result<(), ArgError> {
 /// printed. `--variant` picks the SKYPEER side's variant (default FTPM);
 /// `--json` emits the machine form.
 pub fn compare(args: &Args) -> Result<(), ArgError> {
-    use skypeer_core::{backend_for, BackendKind};
     use skypeer_netsim::obs::{json, MemTracer, MetricsRegistry, Tracer};
     use std::sync::Arc;
 
@@ -403,13 +397,8 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
             .iter()
             .map(|&backend| {
                 let tracer = Arc::new(MemTracer::new());
-                let out = backend_for(backend).run_observed(
-                    &engine,
-                    p.query,
-                    variant,
-                    Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-                    &[],
-                );
+                let req = QueryRequest { backend, ..QueryRequest::new(p.query, variant) };
+                let out = engine.execute(&req, Some(Arc::clone(&tracer) as Arc<dyn Tracer>));
                 let m = MetricsRegistry::from_events(&tracer.take());
                 Measured {
                     backend,
@@ -782,7 +771,9 @@ pub fn workload(args: &Args) -> Result<(), ArgError> {
         "variant", "comp (ms)", "total (ms)", "vol (KB)", "msgs"
     );
     for variant in Variant::ALL {
-        let m = QueryMetrics::from_outcomes(&engine.run_workload(&wl, variant));
+        let outcomes: Vec<QueryOutcome> =
+            wl.iter().map(|q| engine.run_query(*q, variant)).collect();
+        let m = QueryMetrics::from_outcomes(&outcomes);
         println!(
             "{:>7}  {:>11.3}  {:>12.3}  {:>10.1}  {:>8.1}",
             variant.mnemonic(),
@@ -827,18 +818,25 @@ pub fn topology(args: &Args) -> Result<(), ArgError> {
 pub fn faults(args: &Args) -> Result<(), ArgError> {
     let engine = engine_from(args)?;
     let variant = variant_from(args)?;
-    let dims: Vec<usize> = args.list_or("dims", &[0usize, 1, 2])?;
+    let subspace = subspace_from(args, &engine)?;
     let fail: Vec<usize> = args.list_or("fail", &[1usize])?;
     let fail_at_ms: u64 = args.get_or("fail-at-ms", 0)?;
     let timeout_s: u64 = args.get_or("timeout-s", 120)?;
     args.reject_unknown()?;
-    let q = Query { subspace: Subspace::from_dims(&dims), initiator: 0 };
+    let q = Query { subspace, initiator: 0 };
     if fail.contains(&0) {
         return Err(ArgError("cannot fail the initiator (SP0)".into()));
     }
-    let failures: Vec<(usize, u64)> = fail.iter().map(|&sp| (sp, fail_at_ms * 1_000_000)).collect();
+    if fail.iter().any(|&sp| sp >= engine.config().n_superpeers) {
+        return Err(ArgError("--fail node out of range".into()));
+    }
+    let faults = FaultPlan {
+        crashes: fail.iter().map(|&sp| (sp, fail_at_ms * 1_000_000)).collect(),
+        child_timeout_ns: Some(timeout_s * 1_000_000_000),
+        answer_fault: None,
+    };
     let healthy = engine.run_query(q, variant);
-    let degraded = engine.run_query_with_failures(q, variant, &failures, timeout_s * 1_000_000_000);
+    let degraded = engine.execute(&QueryRequest { faults, ..QueryRequest::new(q, variant) }, None);
     println!(
         "query: skyline on {} via {variant}; failing SPs {fail:?} at t={fail_at_ms}ms",
         q.subspace
@@ -1279,12 +1277,9 @@ pub fn top(args: &Args) -> Result<(), ArgError> {
     let title = format!("{} x{queries} (seed {wl_seed})", variant.mnemonic());
     for (i, q) in workload.generate().into_iter().enumerate() {
         let tracer = Arc::new(MemTracer::new());
-        let tr = Some(Arc::clone(&tracer) as Arc<dyn Tracer>);
-        let out = if !overrides.is_empty() && i >= perturb_after {
-            engine.run_query_observed_perturbed(q, variant, &overrides, tr)
-        } else {
-            engine.run_query_observed(q, variant, tr)
-        };
+        let link_overrides = if i >= perturb_after { overrides.clone() } else { Vec::new() };
+        let req = QueryRequest { link_overrides, ..QueryRequest::new(q, variant) };
+        let out = engine.execute(&req, Some(Arc::clone(&tracer) as Arc<dyn Tracer>));
         let m = MetricsRegistry::from_events(&tracer.take());
         let tick = i as u64;
         let mut samples = vec![
@@ -1333,12 +1328,9 @@ pub fn top(args: &Args) -> Result<(), ArgError> {
 /// `skypeer-cli csv-query` — run a SKYPEER query over a CSV dataset
 /// distributed across a generated super-peer network.
 pub fn csv_query(args: &Args) -> Result<(), ArgError> {
-    use skypeer_core::node::{InitQuery, SuperPeerNode};
     use skypeer_core::preprocess::preprocess_network;
     use skypeer_data::csv::{invert_column, read_points, CsvOptions};
     use skypeer_data::partition::partition_shuffled;
-    use skypeer_netsim::des::Sim;
-    use std::sync::Arc;
 
     let file = args.str_or("file", "");
     if file.is_empty() {
@@ -1357,6 +1349,9 @@ pub fn csv_query(args: &Args) -> Result<(), ArgError> {
     let invert: Vec<usize> = args.list_or("invert", &[])?;
     let dims: Vec<usize> = args.list_or("dims", &[])?;
     args.reject_unknown()?;
+    if n_superpeers == 0 || peers_per_sp == 0 {
+        return Err(ArgError("need at least one peer and one super-peer".into()));
+    }
 
     let sep = separator.chars().next().unwrap_or(',');
     let opts = CsvOptions {
@@ -1395,34 +1390,37 @@ pub fn csv_query(args: &Args) -> Result<(), ArgError> {
         preprocess_network(&peer_home, n_superpeers, set.dim(), DominanceIndex::RTree, |p| {
             &parts[p]
         });
-    let stores: Vec<Arc<skypeer_skyline::SortedDataset>> =
-        stores.into_iter().map(|s| s.store).collect();
     let stored = report.stored_points;
     println!(
         "distributed over {n_superpeers} super-peers × {peers_per_sp} peers; {stored} points stored after preprocessing ({:.1}%)",
         100.0 * stored as f64 / set.len() as f64
     );
 
-    let nodes: Vec<SuperPeerNode> = (0..n_superpeers)
-        .map(|sp| {
-            let init = (sp == 0).then_some(InitQuery::standard(1, subspace, variant));
-            SuperPeerNode::new(
-                sp,
-                topo.neighbors(sp).to_vec(),
-                Arc::clone(&stores[sp]),
-                DominanceIndex::RTree,
-                init,
-            )
-        })
-        .collect();
-    let out = Sim::new(nodes, LinkModel::paper_4kbps(), CostModel::default()).run(0);
+    let config = EngineConfig {
+        n_peers: parts.len(),
+        n_superpeers,
+        // The data came from the file: nothing can regenerate it from a spec.
+        dataset: DatasetSpec {
+            dim: set.dim(),
+            points_per_peer: 0,
+            kind: DatasetKind::Uniform,
+            seed,
+        },
+        topology: topo_spec,
+        index: DominanceIndex::RTree,
+        cost: CostModel::default(),
+        link: LinkModel::paper_4kbps(),
+        routing: skypeer_core::engine::RoutingMode::Flood,
+    };
+    let stores = stores.into_iter().map(|s| s.store).collect();
+    let engine = SkypeerEngine::from_stores(config, topo, stores, report);
     let answer =
-        out.nodes.into_iter().next().expect("initiator").into_outcome().expect("query completes");
+        engine.execute(&QueryRequest::new(Query { subspace, initiator: 0 }, variant), None);
     println!(
         "\nskyline on {subspace} via {variant}: {} points | {:.1} ms total | {:.1} KB",
         answer.result.len(),
-        out.stats.finished_at.unwrap_or(0) as f64 / 1e6,
-        out.stats.bytes as f64 / 1024.0,
+        answer.total_time_ns as f64 / 1e6,
+        answer.volume_bytes as f64 / 1024.0,
     );
     for i in 0..answer.result.len().min(show) {
         let p = answer.result.points().point(i);

@@ -94,6 +94,32 @@ fn bad_flags_fail_fast() {
     let (_, stderr3, ok3) = run(&["query", "--variant", "zzz"]);
     assert!(!ok3);
     assert!(stderr3.contains("unknown --variant"));
+
+    // Out-of-range input is an argument error (exit 1) with the message the
+    // sibling commands print, never a panic (exit 101) or a silent run.
+    let dir = std::env::temp_dir().join(format!("skypeer-cli-range-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let file = dir.join("pts.csv");
+    std::fs::write(&file, "a,b\n1,9\n5,5\n9,1\n").expect("write csv");
+    let csv = file.to_str().expect("utf8 path");
+    let faults = ["faults", "--peers", "40", "--superpeers", "4", "--dim", "4", "--points", "20"];
+    let no_network = "need at least one peer and one super-peer";
+    let cases: [(Vec<&str>, &str); 4] = [
+        ([&faults[..], &["--dims", "0,6"]].concat(), "--dims index out of range for --dim"),
+        ([&faults[..], &["--fail", "9"]].concat(), "--fail node out of range"),
+        (vec!["csv-query", "--file", csv, "--superpeers", "0"], no_network),
+        (vec!["csv-query", "--file", csv, "--peers-per-superpeer", "0"], no_network),
+    ];
+    for (args, want) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_skypeer-cli"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

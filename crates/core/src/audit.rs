@@ -402,7 +402,7 @@ impl Auditor {
 #[cfg(test)]
 mod unit {
     use super::*;
-    use crate::engine::{EngineConfig, RoutingMode, SkypeerEngine};
+    use crate::engine::{EngineConfig, FaultPlan, QueryRequest, RoutingMode, SkypeerEngine};
     use crate::variants::Variant;
     use skypeer_data::{DatasetKind, DatasetSpec, WorkloadSpec};
     use skypeer_netsim::cost::CostModel;
@@ -563,9 +563,12 @@ mod unit {
                 l.origin.as_ref().map(|o| o.super_peer) != Some(q.initiator)
             })
             .expect("some answer point is remote");
-        engine.set_fault(Some(AnswerFault { drop_id: victim }));
-        let faulty = engine.run_query_observed(q, Variant::Ftpm, None);
-        engine.set_fault(None);
+        let faults = FaultPlan {
+            answer_fault: Some(AnswerFault { drop_id: victim }),
+            ..FaultPlan::default()
+        };
+        let faulty =
+            engine.execute(&QueryRequest { faults, ..QueryRequest::new(q, Variant::Ftpm) }, None);
         assert!(!faulty.result_ids.contains(&victim), "the fault must remove the victim");
         assert_eq!(faulty.volume_bytes, clean.volume_bytes, "tamper must not change bytes");
         assert_eq!(faulty.messages, clean.messages, "tamper must not change messages");

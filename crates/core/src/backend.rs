@@ -1,48 +1,47 @@
-//! Pluggable distributed-skyline backends.
+//! Distributed-skyline backends.
 //!
 //! SKYPEER's threshold protocol is one way to compute a subspace skyline
-//! over data partitioned across super-peers — not the only one. This
-//! module factors the query lifecycle (plan, per-round message exchange
-//! over the DES, answer assembly) behind the
-//! [`DistributedSkylineBackend`] trait so alternative protocols run over
-//! the **same** network, stores, cost model, tracer, and metrics, and are
-//! therefore directly comparable on bytes, rounds, and simulated time.
+//! over data partitioned across super-peers — not the only one. A
+//! [`BackendKind`] on a [`crate::engine::QueryRequest`] selects the
+//! protocol [`crate::engine::SkypeerEngine::execute`] runs, over the
+//! **same** network, stores, cost model, tracer, and metrics, so the
+//! backends are directly comparable on bytes, rounds, and simulated time.
 //!
-//! Two implementations ship today:
+//! Two backends ship today:
 //!
-//! * [`SkypeerBackend`] — the paper's threshold protocol (all five
-//!   variants), delegating to the existing [`SkypeerEngine`] query paths.
-//!   Rounds scale with backbone diameter (query flood down, answers up).
-//! * [`SamplingBackend`] — Zhang & Zhang's sampling-based constant-round
-//!   algorithm ("Computing Skylines on Distributed Data",
+//! * [`BackendKind::Skypeer`] — the paper's threshold protocol (all five
+//!   variants, [`crate::node::SuperPeerNode`]). Rounds scale with backbone
+//!   diameter (query flood down, answers up).
+//! * [`BackendKind::Sampling`] — Zhang & Zhang's sampling-based
+//!   constant-round algorithm ("Computing Skylines on Distributed Data",
 //!   arXiv 1611.00423), adapted to the super-peer stores: the coordinator
 //!   computes its local subspace skyline and broadcasts it as a pruning
 //!   filter (round 1); every other super-peer computes its local skyline,
 //!   drops filter-dominated points, and ships the survivors straight back
 //!   (round 2); the coordinator merges. Exactly **2** communication
 //!   rounds regardless of backbone size, at the price of contacting every
-//!   super-peer directly instead of riding the backbone topology.
+//!   super-peer directly instead of riding the backbone topology. This
+//!   module holds its node.
 //!
 //! Both backends return exact answers (proptested against the brute
 //! oracle in [`crate::verify`]); they differ only in *how much* data
 //! moves, *how many* sequential rounds it takes, and *where* the work
-//! lands.
+//! lands. Every message is a [`Msg`] charged its wire size, every
+//! computation is reported as a [`WorkReport`], and protocol phases ride
+//! the standard tracer, so trace, explain, soak and audit tools work on
+//! either.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use skypeer_data::Query;
 use skypeer_netsim::cost::WorkReport;
-use skypeer_netsim::des::{Behavior, Context, LinkModel, Sim};
-use skypeer_netsim::obs::{ProtoEvent, QueryPhase, Tracer};
-use skypeer_skyline::{Dominance, PointSet, SortedDataset, Subspace};
+use skypeer_netsim::des::{Behavior, Context};
+use skypeer_netsim::obs::{ProtoEvent, QueryPhase};
+use skypeer_skyline::{Dominance, DominanceIndex, PointSet, SortedDataset, Subspace};
 
-use crate::engine::{QueryOutcome, SkypeerEngine};
 use crate::msg::Msg;
-use crate::node::{merge_reported, FinalAnswer};
-use crate::planner::IndexPolicy;
-use crate::variants::Variant;
+use crate::node::{merge_reported, FinalAnswer, Initiator};
 
 /// Which distributed-skyline backend executes a query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -84,159 +83,23 @@ pub fn parse_backend(s: &str) -> Result<BackendKind, String> {
     }
 }
 
-/// A distributed-skyline protocol runnable over a built [`SkypeerEngine`]
-/// network: it owns the query lifecycle — planning, per-round message
-/// exchange on the DES, and answer assembly — while the engine supplies
-/// the shared substrate (topology, per-super-peer stores, link and cost
-/// models, index policy, fault injection).
-///
-/// Contract every implementation must honor:
-///
-/// * **Exactness** — the returned [`QueryOutcome::result_ids`] equal the
-///   brute-force subspace skyline of the union of all raw data.
-/// * **Determinism** — identical inputs produce identical outcomes,
-///   byte-for-byte (the DES guarantees this if the behavior is
-///   deterministic).
-/// * **Honest accounting** — every message is a [`crate::msg::Msg`],
-///   charged its wire size; computation is reported via [`WorkReport`] so
-///   the cost model prices it.
-/// * **Observability** — tracing must ride the standard [`Tracer`] hooks
-///   so trace/explain/soak/audit tools work unmodified.
-pub trait DistributedSkylineBackend {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Executes one query in a single simulation with the engine's
-    /// configured links, optionally traced and with per-link overrides
-    /// (`comp_time_ns` is reported as 0, as on the engine's observed
-    /// path). `variant` selects the SKYPEER strategy; backends without a
-    /// variant dimension ignore it.
-    fn run_observed(
-        &self,
-        engine: &SkypeerEngine,
-        query: Query,
-        variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-        link_overrides: &[(usize, usize, LinkModel)],
-    ) -> QueryOutcome;
-}
-
-/// The paper's SKYPEER threshold protocol, behind the backend seam.
-pub struct SkypeerBackend;
-
-impl DistributedSkylineBackend for SkypeerBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Skypeer
-    }
-
-    fn run_observed(
-        &self,
-        engine: &SkypeerEngine,
-        query: Query,
-        variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-        link_overrides: &[(usize, usize, LinkModel)],
-    ) -> QueryOutcome {
-        engine.run_query_observed_perturbed(query, variant, link_overrides, tracer)
-    }
-}
-
-/// Zhang & Zhang's sampling-based constant-round backend (see the module
-/// docs for the protocol). The `variant` argument is ignored: the
-/// algorithm has no threshold/merging axes.
-pub struct SamplingBackend;
-
-impl DistributedSkylineBackend for SamplingBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sampling
-    }
-
-    fn run_observed(
-        &self,
-        engine: &SkypeerEngine,
-        query: Query,
-        _variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-        link_overrides: &[(usize, usize, LinkModel)],
-    ) -> QueryOutcome {
-        let qid = engine.alloc_qid();
-        let stores = engine.shared_stores();
-        let n = stores.len();
-        let nodes: Vec<SamplingNode> = (0..n)
-            .map(|sp| {
-                let init = (sp == query.initiator).then_some(SamplingInit {
-                    qid,
-                    subspace: query.subspace,
-                    flavour: Dominance::Standard,
-                });
-                SamplingNode::new(
-                    sp,
-                    n,
-                    Arc::clone(&stores[sp]),
-                    engine.current_query_policy(),
-                    init,
-                )
-            })
-            .collect();
-        let mut sim = Sim::new(nodes, engine.config().link, engine.config().cost);
-        for &(from, to, model) in link_overrides {
-            sim = sim.with_link_override(from, to, model);
-        }
-        if let Some(tracer) = tracer {
-            sim = sim.with_tracer(tracer);
-        }
-        if let Some(fault) = engine.current_fault() {
-            sim = sim.with_tamper_hook(move |_, _, msg| fault.tamper(msg));
-        }
-        let out = sim.run(query.initiator);
-        let answer = out
-            .nodes
-            .into_iter()
-            .nth(query.initiator)
-            .expect("initiator exists")
-            .into_outcome()
-            .expect("coordinator must hold the final result after completion");
-        assert!(answer.complete, "failure-free runs must be complete");
-        let mut result_ids: Vec<u64> =
-            (0..answer.result.len()).map(|i| answer.result.points().id(i)).collect();
-        result_ids.sort_unstable();
-        QueryOutcome {
-            result_ids,
-            complete: answer.complete,
-            result: answer.result,
-            total_time_ns: out.stats.finished_at.expect("query must complete"),
-            comp_time_ns: 0,
-            volume_bytes: out.stats.bytes,
-            messages: out.stats.messages,
-            dropped: out.stats.dropped,
-            compute_ns_total: out.stats.compute_ns_total,
-            rounds: out.stats.rounds,
-        }
-    }
-}
-
-/// The statically-known backend for a [`BackendKind`].
-pub fn backend_for(kind: BackendKind) -> &'static dyn DistributedSkylineBackend {
-    match kind {
-        BackendKind::Skypeer => &SkypeerBackend,
-        BackendKind::Sampling => &SamplingBackend,
-    }
-}
-
-impl SkypeerEngine {
-    /// [`SkypeerEngine::run_query_observed`] routed through a backend:
-    /// the shared entry point of the soak runner, the CLI, and the
-    /// head-to-head comparison. `BackendKind::Skypeer` is byte-identical
-    /// to calling the engine's observed path directly.
-    pub fn run_query_on_backend(
-        &self,
-        backend: BackendKind,
-        query: Query,
-        variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-    ) -> QueryOutcome {
-        backend_for(backend).run_observed(self, query, variant, tracer, &[])
-    }
+/// One sampling node per store; the one at `initiator` starts query
+/// `qid` on `subspace` under `flavour` (the protocol has no variant axis).
+pub(crate) fn sampling_nodes(
+    stores: &[Arc<SortedDataset>],
+    index: DominanceIndex,
+    initiator: usize,
+    qid: u32,
+    subspace: Subspace,
+    flavour: Dominance,
+) -> Vec<SamplingNode> {
+    let n = stores.len();
+    (0..n)
+        .map(|sp| {
+            let init = (sp == initiator).then_some(SamplingInit { qid, subspace, flavour });
+            SamplingNode::new(sp, n, Arc::clone(&stores[sp]), index, init)
+        })
+        .collect()
 }
 
 /// A query the coordinator starts at t = 0.
@@ -266,11 +129,11 @@ struct CoordState {
 /// pruning filter, every other node answers once with its filtered local
 /// skyline, and the coordinator merges — no spanning tree, no relaying,
 /// no per-hop threshold refinement.
-struct SamplingNode {
+pub(crate) struct SamplingNode {
     id: usize,
     n_superpeers: usize,
     store: Arc<SortedDataset>,
-    policy: IndexPolicy,
+    index: DominanceIndex,
     init: Option<SamplingInit>,
     states: HashMap<u32, CoordState>,
     outcomes: Vec<(u32, FinalAnswer)>,
@@ -281,23 +144,18 @@ impl SamplingNode {
         id: usize,
         n_superpeers: usize,
         store: Arc<SortedDataset>,
-        policy: IndexPolicy,
+        index: DominanceIndex,
         init: Option<SamplingInit>,
     ) -> Self {
         SamplingNode {
             id,
             n_superpeers,
             store,
-            policy,
+            index,
             init,
             states: HashMap::new(),
             outcomes: Vec::new(),
         }
-    }
-
-    /// The single final answer of a single-query run, consuming the node.
-    fn into_outcome(self) -> Option<FinalAnswer> {
-        self.outcomes.into_iter().next().map(|(_, a)| a)
     }
 
     /// Computes this node's local subspace skyline (no threshold — the
@@ -310,9 +168,8 @@ impl SamplingNode {
         flavour: Dominance,
         ctx: &mut dyn Context<Msg>,
     ) -> SortedDataset {
-        let index = self.policy.resolve(self.store.len(), subspace);
         let started = Instant::now();
-        let out = self.store.subspace_skyline(subspace, flavour, f64::INFINITY, index);
+        let out = self.store.subspace_skyline(subspace, flavour, f64::INFINITY, self.index);
         ctx.report_work(WorkReport {
             dominance_tests: out.stats.dominance_tests,
             points_scanned: out.stats.points_scanned,
@@ -406,20 +263,24 @@ impl SamplingNode {
             return;
         }
         let state = self.states.remove(&qid).expect("state checked above");
-        let (subspace, flavour) = (state.subspace, state.flavour);
-        let index = self.policy.resolve(self.store.len(), subspace);
         let merged = merge_reported(
             &state.local,
             &state.collected,
-            subspace,
-            flavour,
+            state.subspace,
+            state.flavour,
             f64::INFINITY,
-            index,
+            self.index,
             ctx,
         );
         ctx.note(ProtoEvent::Phase { qid, phase: QueryPhase::Finalized });
         self.outcomes.push((qid, FinalAnswer { result: merged.result, complete: state.complete }));
         ctx.finish();
+    }
+}
+
+impl Initiator for SamplingNode {
+    fn into_outcome(self) -> Option<FinalAnswer> {
+        self.outcomes.into_iter().next().map(|(_, a)| a)
     }
 }
 
@@ -479,14 +340,15 @@ fn filter_candidates(
 #[cfg(test)]
 mod unit {
     use super::*;
-    use crate::engine::{EngineConfig, RoutingMode};
+    use crate::engine::{EngineConfig, QueryOutcome, QueryRequest, RoutingMode, SkypeerEngine};
+    use crate::variants::Variant;
     use crate::verify::{exact_skyline_ids, global_dataset};
-    use skypeer_data::{DatasetKind, DatasetSpec};
+    use skypeer_data::{DatasetKind, DatasetSpec, Query};
     use skypeer_netsim::cost::CostModel;
+    use skypeer_netsim::des::LinkModel;
+    use skypeer_netsim::obs::Tracer;
     use skypeer_netsim::topology::TopologySpec;
-    use skypeer_skyline::DominanceIndex;
-    use std::cell::OnceCell;
-    use std::rc::Rc;
+    use std::sync::OnceLock;
 
     fn test_config(kind: DatasetKind, seed: u64) -> EngineConfig {
         let n_superpeers = 6;
@@ -502,14 +364,11 @@ mod unit {
         }
     }
 
-    /// Engine + raw-data union, built once per dataset kind and test
-    /// thread (engine construction dominates test time; the engine is
-    /// not `Sync`, so the cache is thread-local).
-    fn fixture(clustered: bool) -> Rc<(SkypeerEngine, PointSet)> {
-        thread_local! {
-            static UNIFORM: OnceCell<Rc<(SkypeerEngine, PointSet)>> = const { OnceCell::new() };
-            static CLUSTERED: OnceCell<Rc<(SkypeerEngine, PointSet)>> = const { OnceCell::new() };
-        }
+    /// Engine + raw-data union, built once per dataset kind (engine
+    /// construction dominates test time).
+    fn fixture(clustered: bool) -> &'static (SkypeerEngine, PointSet) {
+        static UNIFORM: OnceLock<(SkypeerEngine, PointSet)> = OnceLock::new();
+        static CLUSTERED: OnceLock<(SkypeerEngine, PointSet)> = OnceLock::new();
         let build = move || {
             let (kind, seed) = if clustered {
                 (DatasetKind::Clustered { centroids_per_superpeer: 2 }, 31u64)
@@ -520,13 +379,24 @@ mod unit {
             let engine = SkypeerEngine::build(cfg);
             let peer_home = engine.topology().assign_peers(cfg.n_peers);
             let all = global_dataset(&cfg.dataset, &peer_home);
-            Rc::new((engine, all))
+            (engine, all)
         };
         if clustered {
-            CLUSTERED.with(|c| Rc::clone(c.get_or_init(build)))
+            CLUSTERED.get_or_init(build)
         } else {
-            UNIFORM.with(|c| Rc::clone(c.get_or_init(build)))
+            UNIFORM.get_or_init(build)
         }
+    }
+
+    /// Executes `q` under `variant` on the `kind` backend.
+    fn on_backend(
+        engine: &SkypeerEngine,
+        kind: BackendKind,
+        q: Query,
+        variant: Variant,
+        tracer: Option<Arc<dyn Tracer>>,
+    ) -> QueryOutcome {
+        engine.execute(&QueryRequest { backend: kind, ..QueryRequest::new(q, variant) }, tracer)
     }
 
     #[test]
@@ -550,13 +420,13 @@ mod unit {
         // distributions, both backends.
         for clustered in [false, true] {
             let fx = fixture(clustered);
-            let (engine, all) = (&fx.0, &fx.1);
+            let (engine, all) = fx;
             for mask in 1u32..16 {
                 let u = Subspace::from_mask(mask);
                 let want = exact_skyline_ids(all, u, usize::MAX);
                 let q = Query { subspace: u, initiator: mask as usize % 6 };
                 for kind in BackendKind::ALL {
-                    let out = engine.run_query_on_backend(kind, q, Variant::Ftpm, None);
+                    let out = on_backend(engine, kind, q, Variant::Ftpm, None);
                     assert!(out.complete);
                     assert_eq!(out.result_ids, want, "backend {kind} U={u} clustered={clustered}");
                 }
@@ -570,7 +440,7 @@ mod unit {
         let engine = &fx.0;
         for initiator in 0..6 {
             let q = Query { subspace: Subspace::from_dims(&[0, 2]), initiator };
-            let out = engine.run_query_on_backend(BackendKind::Sampling, q, Variant::Ftpm, None);
+            let out = on_backend(engine, BackendKind::Sampling, q, Variant::Ftpm, None);
             assert_eq!(out.rounds, 2, "sampling is constant-round from initiator {initiator}");
         }
     }
@@ -581,7 +451,7 @@ mod unit {
         let engine = &fx.0;
         let q = Query { subspace: Subspace::from_dims(&[1, 3]), initiator: 2 };
         let direct = engine.run_query_observed(q, Variant::Rtpm, None);
-        let routed = engine.run_query_on_backend(BackendKind::Skypeer, q, Variant::Rtpm, None);
+        let routed = on_backend(engine, BackendKind::Skypeer, q, Variant::Rtpm, None);
         assert_eq!(direct.result_ids, routed.result_ids);
         assert_eq!(direct.total_time_ns, routed.total_time_ns);
         assert_eq!(direct.volume_bytes, routed.volume_bytes);
@@ -594,8 +464,8 @@ mod unit {
         let fx = fixture(true);
         let engine = &fx.0;
         let q = Query { subspace: Subspace::from_dims(&[0, 1, 3]), initiator: 4 };
-        let a = engine.run_query_on_backend(BackendKind::Sampling, q, Variant::Ftpm, None);
-        let b = engine.run_query_on_backend(BackendKind::Sampling, q, Variant::Ftpm, None);
+        let a = on_backend(engine, BackendKind::Sampling, q, Variant::Ftpm, None);
+        let b = on_backend(engine, BackendKind::Sampling, q, Variant::Ftpm, None);
         assert_eq!(a.result_ids, b.result_ids);
         assert_eq!(a.total_time_ns, b.total_time_ns);
         assert_eq!(a.volume_bytes, b.volume_bytes);
@@ -608,9 +478,10 @@ mod unit {
         let fx = fixture(false);
         let engine = &fx.0;
         let q = Query { subspace: Subspace::from_dims(&[0, 3]), initiator: 1 };
-        let plain = engine.run_query_on_backend(BackendKind::Sampling, q, Variant::Ftpm, None);
+        let plain = on_backend(engine, BackendKind::Sampling, q, Variant::Ftpm, None);
         let tracer = Arc::new(MemTracer::new());
-        let traced = engine.run_query_on_backend(
+        let traced = on_backend(
+            engine,
             BackendKind::Sampling,
             q,
             Variant::Ftpm,
@@ -670,12 +541,12 @@ mod unit {
                 backend_idx in 0usize..2,
             ) {
                 let fx = fixture(clustered);
-            let (engine, all) = (&fx.0, &fx.1);
+            let (engine, all) = fx;
                 let u = Subspace::from_mask(mask);
                 let want = exact_skyline_ids(all, u, usize::MAX);
                 let q = Query { subspace: u, initiator };
                 let kind = BackendKind::ALL[backend_idx];
-                let out = engine.run_query_on_backend(kind, q, Variant::Rtfm, None);
+                let out = on_backend(engine, kind, q, Variant::Rtfm, None);
                 prop_assert!(out.complete);
                 prop_assert_eq!(out.result_ids, want);
             }

@@ -2,10 +2,10 @@
 //! [`SubspaceCache`].
 //!
 //! The miss path deliberately runs the backbone query with the
-//! **Extended** dominance flavour
-//! ([`SkypeerEngine::run_query_ext_observed`]): the initiator then holds
-//! the global `ext-SKY_U`, which by the paper's Observation 4 (generalized
-//! in [`skypeer_skyline::extended::refine_from_ext`]) answers not just the
+//! **Extended** dominance flavour (see [`QueryRequest::flavour`]): the
+//! initiator then holds the global `ext-SKY_U`, which by the paper's
+//! Observation 4 (generalized in
+//! [`skypeer_skyline::extended::refine_from_ext`]) answers not just the
 //! query at hand but *every* later query for a contained subspace — with a
 //! purely local refinement, zero network traffic. The extended result
 //! costs slightly more bytes than `SKY_U` on the wire once; every hit it
@@ -16,13 +16,17 @@
 //! execution, visible in the DES as fewer messages than running each query
 //! separately.
 
+use std::sync::Arc;
+
 use skypeer_cache::{CacheAnswer, CacheConfig, CacheStats, FlightRole, HitKind, SubspaceCache};
 use skypeer_data::Query;
 use skypeer_netsim::cost::WorkReport;
+use skypeer_netsim::obs::Tracer;
 use skypeer_skyline::extended::refine_from_ext;
-use skypeer_skyline::Subspace;
+use skypeer_skyline::sorted::ThresholdOutcome;
+use skypeer_skyline::{Dominance, DominanceIndex, SortedDataset, Subspace};
 
-use crate::engine::{QueryOutcome, SkypeerEngine};
+use crate::engine::{sorted_ids, QueryOutcome, QueryRequest, SkypeerEngine};
 use crate::variants::Variant;
 
 /// How the cache participated in one query.
@@ -95,15 +99,16 @@ impl CachedOutcome {
 ///
 /// ```
 /// use skypeer_core::cached::CachedEngine;
-/// use skypeer_core::{EngineConfig, SkypeerEngine, Variant};
+/// use skypeer_core::{EngineConfig, QueryRequest, SkypeerEngine, Variant};
 /// use skypeer_data::Query;
 /// use skypeer_skyline::Subspace;
 ///
 /// let engine = SkypeerEngine::build(EngineConfig::paper_default(60, 5));
 /// let mut cached = CachedEngine::new(&engine, 4 << 20);
 /// let q = Query { subspace: Subspace::from_dims(&[0, 3]), initiator: 1 };
-/// let miss = cached.run_query(q, Variant::Ftpm);
-/// let hit = cached.run_query(q, Variant::Ftpm);
+/// let req = QueryRequest::new(q, Variant::Ftpm);
+/// let miss = cached.run_query(&req, None);
+/// let hit = cached.run_query(&req, None);
 /// assert!(!miss.served_from_cache());
 /// assert!(hit.served_from_cache());
 /// assert_eq!(hit.outcome.result_ids, miss.outcome.result_ids);
@@ -137,24 +142,18 @@ impl<'a> CachedEngine<'a> {
         self.cache.bump_epoch();
     }
 
-    /// Executes one query, consulting the cache first. A miss runs the
-    /// Extended-flavour backbone query and admits its result.
-    pub fn run_query(&mut self, query: Query, variant: Variant) -> CachedOutcome {
-        self.run_query_traced(query, variant, None)
-    }
-
-    /// [`CachedEngine::run_query`] with a tracer observing the backbone
-    /// execution of a miss. Hits perform no simulation, so their trace is
-    /// empty.
-    pub fn run_query_traced(
+    /// Executes one request, consulting the cache first. A miss executes
+    /// the request with the Extended flavour and admits its result. A
+    /// tracer observes the backbone execution of a miss; hits perform no
+    /// simulation, so their trace is empty.
+    pub fn run_query(
         &mut self,
-        query: Query,
-        variant: Variant,
-        tracer: Option<std::sync::Arc<dyn skypeer_netsim::obs::Tracer>>,
+        req: &QueryRequest,
+        tracer: Option<Arc<dyn Tracer>>,
     ) -> CachedOutcome {
-        match self.cache.lookup(query.subspace) {
+        match self.cache.lookup(req.query.subspace) {
             Some(ans) => self.hit_outcome(ans, None),
-            None => self.run_miss_traced(query, variant, tracer),
+            None => self.run_miss(req, tracer),
         }
     }
 
@@ -172,37 +171,29 @@ impl<'a> CachedEngine<'a> {
             .map(|(&(q, variant), role)| match role {
                 // `run_query` re-checks the cache, so a Served role that an
                 // eviction raced away simply becomes a miss.
-                FlightRole::Served | FlightRole::Leader => self.run_query(q, variant),
+                FlightRole::Served | FlightRole::Leader => {
+                    self.run_query(&QueryRequest::new(q, variant), None)
+                }
                 FlightRole::Follower(leader) => match self.cache.answer_via(q.subspace) {
                     Some(ans) => self.hit_outcome(ans, Some(leader)),
                     // The leader's result was refused admission (e.g.
                     // oversized): fall back to executing ourselves.
-                    None => self.run_miss(q, variant),
+                    None => self.run_miss(&QueryRequest::new(q, variant), None),
                 },
             })
             .collect()
     }
 
-    fn run_miss(&mut self, query: Query, variant: Variant) -> CachedOutcome {
-        self.run_miss_traced(query, variant, None)
-    }
-
-    fn run_miss_traced(
-        &mut self,
-        query: Query,
-        variant: Variant,
-        tracer: Option<std::sync::Arc<dyn skypeer_netsim::obs::Tracer>>,
-    ) -> CachedOutcome {
-        let ext = self.engine.run_query_ext_observed(query, variant, tracer);
-        let refined = refine_from_ext(&ext.result, query.subspace, self.engine.config().index);
+    fn run_miss(&mut self, req: &QueryRequest, tracer: Option<Arc<dyn Tracer>>) -> CachedOutcome {
+        let ext_req = QueryRequest { flavour: Dominance::Extended, ..req.clone() };
+        let ext = self.engine.execute(&ext_req, tracer);
+        let (refined, result_ids) =
+            refine_miss(&ext.result, req.query.subspace, self.engine.config().index);
         let refine_ns = self.engine.config().cost.service_ns(&WorkReport::from_counts(
             refined.stats.dominance_tests,
             refined.stats.points_scanned,
         ));
-        self.cache.admit(query.subspace, ext.result, ext.volume_bytes);
-        let mut result_ids: Vec<u64> =
-            (0..refined.result.len()).map(|i| refined.result.points().id(i)).collect();
-        result_ids.sort_unstable();
+        self.cache.admit(req.query.subspace, ext.result, ext.volume_bytes);
         CachedOutcome {
             outcome: QueryOutcome {
                 result_ids,
@@ -251,6 +242,18 @@ impl<'a> CachedEngine<'a> {
     }
 }
 
+/// Refines the Extended-flavour answer of a cache miss into the exact
+/// `SKY_u` it stands for: the refinement and the answer's sorted ids.
+pub(crate) fn refine_miss(
+    ext: &SortedDataset,
+    u: Subspace,
+    index: DominanceIndex,
+) -> (ThresholdOutcome, Vec<u64>) {
+    let refined = refine_from_ext(ext, u, index);
+    let ids = sorted_ids(&refined.result);
+    (refined, ids)
+}
+
 #[cfg(test)]
 mod unit {
     use super::*;
@@ -286,7 +289,7 @@ mod unit {
             Query { subspace: Subspace::from_dims(&[3]), initiator: 2 },    // miss
         ];
         for q in queries {
-            let got = cached.run_query(q, Variant::Ftpm);
+            let got = cached.run_query(&QueryRequest::new(q, Variant::Ftpm), None);
             assert_eq!(
                 got.outcome.result_ids,
                 eng.centralized_skyline(q.subspace),
@@ -304,8 +307,8 @@ mod unit {
         let eng = engine(23);
         let mut cached = CachedEngine::new(&eng, 4 << 20);
         let q = Query { subspace: Subspace::from_dims(&[1, 2]), initiator: 1 };
-        let miss = cached.run_query(q, Variant::Rtpm);
-        let hit = cached.run_query(q, Variant::Rtpm);
+        let miss = cached.run_query(&QueryRequest::new(q, Variant::Rtpm), None);
+        let hit = cached.run_query(&QueryRequest::new(q, Variant::Rtpm), None);
         assert!(matches!(miss.role, CacheRole::Miss));
         assert!(matches!(hit.role, CacheRole::Hit { kind: HitKind::Exact, .. }));
         assert_eq!(hit.outcome.volume_bytes, 0);
@@ -350,10 +353,10 @@ mod unit {
         let eng = engine(31);
         let mut cached = CachedEngine::new(&eng, 4 << 20);
         let q = Query { subspace: Subspace::from_dims(&[0, 1]), initiator: 0 };
-        cached.run_query(q, Variant::Ftpm);
-        assert!(cached.run_query(q, Variant::Ftpm).served_from_cache());
+        cached.run_query(&QueryRequest::new(q, Variant::Ftpm), None);
+        assert!(cached.run_query(&QueryRequest::new(q, Variant::Ftpm), None).served_from_cache());
         cached.bump_epoch();
-        let after = cached.run_query(q, Variant::Ftpm);
+        let after = cached.run_query(&QueryRequest::new(q, Variant::Ftpm), None);
         assert!(!after.served_from_cache(), "stale entry must not serve");
         assert!(cached.stats().stale_rejects >= 1);
     }
@@ -364,11 +367,11 @@ mod unit {
         let mut cached = CachedEngine::new(&eng, 4 << 20);
         let q = Query { subspace: Subspace::from_dims(&[1, 3]), initiator: 1 };
         let sub = Query { subspace: Subspace::from_dims(&[1]), initiator: 2 };
-        let miss = cached.run_query(q, Variant::Ftpm);
+        let miss = cached.run_query(&QueryRequest::new(q, Variant::Ftpm), None);
         assert!(miss.explain_note().starts_with("cache: miss"));
-        let exact = cached.run_query(q, Variant::Ftpm);
+        let exact = cached.run_query(&QueryRequest::new(q, Variant::Ftpm), None);
         assert!(exact.explain_note().starts_with("cache: exact hit"));
-        let subsumed = cached.run_query(sub, Variant::Ftpm);
+        let subsumed = cached.run_query(&QueryRequest::new(sub, Variant::Ftpm), None);
         assert!(subsumed.explain_note().starts_with("cache: subsumption hit"));
         let batch = [(sub, Variant::Naive), (sub, Variant::Naive)];
         cached.bump_epoch();

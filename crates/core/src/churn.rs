@@ -16,13 +16,13 @@ use std::sync::Arc;
 use skypeer_cache::{CacheConfig, CacheStats, SubspaceCache};
 use skypeer_data::Query;
 use skypeer_netsim::cost::{CostModel, WorkReport};
-use skypeer_netsim::des::{LinkModel, Sim};
+use skypeer_netsim::des::LinkModel;
 use skypeer_netsim::topology::Topology;
-use skypeer_skyline::extended::refine_from_ext;
 use skypeer_skyline::merge::merge_sorted;
 use skypeer_skyline::{Dominance, DominanceIndex, PointSet, SortedDataset, Subspace};
 
-use crate::node::{InitQuery, SuperPeerNode};
+use crate::cached::refine_miss;
+use crate::engine::{sorted_ids, Backbone, FaultPlan, QueryOutcome, QueryRequest, RoutingMode};
 use crate::preprocess::SuperPeerStore;
 use crate::variants::Variant;
 
@@ -161,10 +161,7 @@ impl ChurnRunner {
             return Vec::new();
         }
         let merged = merge_sorted(&lists, u, Dominance::Standard, f64::INFINITY, self.index);
-        let mut ids: Vec<u64> =
-            (0..merged.result.len()).map(|i| merged.result.points().id(i)).collect();
-        ids.sort_unstable();
-        ids
+        sorted_ids(&merged.result)
     }
 
     /// Applies one event. Query events return a report; the others return
@@ -210,12 +207,9 @@ impl ChurnRunner {
             return self.run_query_cached(query, variant);
         }
         let run = self.run_distributed(query, variant, Dominance::Standard);
-        let mut result_ids: Vec<u64> =
-            (0..run.result.len()).map(|i| run.result.points().id(i)).collect();
-        result_ids.sort_unstable();
-        let exact = result_ids == self.live_skyline(query.subspace);
+        let exact = run.result_ids == self.live_skyline(query.subspace);
         ChurnQueryReport {
-            result_ids,
+            result_ids: run.result_ids,
             complete: run.complete,
             exact_for_live_data: exact,
             total_time_ns: run.total_time_ns,
@@ -247,10 +241,7 @@ impl ChurnRunner {
             };
         }
         let run = self.run_distributed(query, variant, Dominance::Extended);
-        let refined = refine_from_ext(&run.result, query.subspace, self.index);
-        let mut result_ids: Vec<u64> =
-            (0..refined.result.len()).map(|i| refined.result.points().id(i)).collect();
-        result_ids.sort_unstable();
+        let (_, result_ids) = refine_miss(&run.result, query.subspace, self.index);
         if run.complete {
             self.cache.as_mut().expect("cached path requires a cache").admit(
                 query.subspace,
@@ -269,52 +260,36 @@ impl ChurnRunner {
         }
     }
 
+    /// One backbone execution over the stores of the alive super-peers:
+    /// the dead ones crash at t = 0 and child timeouts keep the query
+    /// terminating.
     fn run_distributed(
         &mut self,
         query: Query,
         variant: Variant,
         flavour: Dominance,
-    ) -> DistributedRun {
+    ) -> QueryOutcome {
         let qid = self.next_qid;
         self.next_qid = self.next_qid.wrapping_add(1);
-        let nodes: Vec<SuperPeerNode> = (0..self.topology.len())
-            .map(|sp| {
-                let init = (sp == query.initiator).then_some(InitQuery {
-                    qid,
-                    subspace: query.subspace,
-                    variant,
-                    flavour,
-                });
-                SuperPeerNode::new(
-                    sp,
-                    self.topology.neighbors(sp).to_vec(),
-                    Arc::clone(&self.stores[sp].store),
-                    self.index,
-                    init,
-                )
-                .with_child_timeout(self.child_timeout_ns)
-            })
-            .collect();
-        let mut sim = Sim::new(nodes, self.link, self.cost);
-        for (sp, &alive) in self.alive.iter().enumerate() {
-            if !alive {
-                sim = sim.with_node_failure(sp, 0);
-            }
-        }
-        let out = sim.run(query.initiator);
-        let answer = out
-            .nodes
-            .into_iter()
-            .nth(query.initiator)
-            .expect("initiator exists")
-            .into_outcome()
-            .expect("child timeouts guarantee completion");
-        DistributedRun {
-            result: answer.result,
-            complete: answer.complete,
-            total_time_ns: out.stats.finished_at.expect("completed"),
-            volume_bytes: out.stats.bytes,
-        }
+        let stores: Vec<Arc<SortedDataset>> =
+            self.stores.iter().map(|s| Arc::clone(&s.store)).collect();
+        let backbone = Backbone {
+            topology: &self.topology,
+            stores: &stores,
+            index: self.index,
+            routing: RoutingMode::Flood,
+        };
+        let crashes = (0..self.alive.len()).filter(|&sp| !self.alive[sp]).map(|sp| (sp, 0));
+        let req = QueryRequest {
+            flavour,
+            faults: FaultPlan {
+                crashes: crashes.collect(),
+                child_timeout_ns: Some(self.child_timeout_ns),
+                answer_fault: None,
+            },
+            ..QueryRequest::new(query, variant)
+        };
+        backbone.execute(qid, &req, self.link, self.cost, None)
     }
 
     /// Convenience: applies a whole scenario, returning the query reports
@@ -327,14 +302,6 @@ impl ChurnRunner {
     pub fn dim(&self) -> usize {
         self.dim
     }
-}
-
-/// What one backbone execution produced (initiator's view).
-struct DistributedRun {
-    result: SortedDataset,
-    complete: bool,
-    total_time_ns: u64,
-    volume_bytes: u64,
 }
 
 /// A seeded generator of random churn scenarios, for stress tests: waves

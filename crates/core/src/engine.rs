@@ -5,7 +5,14 @@
 //! connected backbone, per-peer data, and the preprocessing phase. Queries
 //! then run on the deterministic DES.
 //!
-//! Each query is simulated twice:
+//! A [`QueryRequest`] names everything one simulated query varies: the
+//! query, the variant, the dominance flavour, the backend, per-link
+//! overrides and a [`FaultPlan`]. [`SkypeerEngine::execute`] runs it in
+//! one simulation with the configured links; it is the one executor behind
+//! the observed, cached, failure-injected and sampling paths, the churn
+//! runner and the CLI.
+//!
+//! [`SkypeerEngine::run_query`] simulates a query twice:
 //!
 //! * with the paper's **4 KB/s** link model — yielding the *total response
 //!   time* and the *volume of transferred data*;
@@ -35,16 +42,20 @@
 //! threshold. Under [`CostModel::Measured`] the second run charges a
 //! replayed local skyline the wall time measured for it in the first run.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 
 use skypeer_data::{DatasetSpec, Query};
 use skypeer_netsim::cost::CostModel;
-use skypeer_netsim::des::{LinkModel, Sim, SimStats};
-use skypeer_netsim::obs::Tracer;
+use skypeer_netsim::des::{Behavior, LinkModel, Sim};
+use skypeer_netsim::obs::{TraceEvent, Tracer};
 use skypeer_netsim::topology::{Topology, TopologySpec};
 use skypeer_skyline::{Dominance, DominanceIndex, SortedDataset, Subspace};
 
-use crate::node::{InitQuery, LocalRunMemo, SuperPeerNode};
+use crate::audit::AnswerFault;
+use crate::backend::{sampling_nodes, BackendKind};
+use crate::msg::Msg;
+use crate::node::{FinalAnswer, InitQuery, Initiator, LocalRunMemo, SuperPeerNode};
 use crate::preprocess::{preprocess_network, PreprocessReport};
 use crate::variants::Variant;
 
@@ -198,27 +209,82 @@ pub struct ConcurrentOutcome {
     /// Total messages delivered.
     pub messages: u64,
     /// Simulated completion time of each query, in completion order (one
-    /// entry per query; the last equals `makespan_ns`). Captured via the
-    /// DES finish hook, so a workload driver can build a latency
-    /// distribution from a single concurrent batch.
+    /// entry per query; the last equals `makespan_ns`). Read from the
+    /// run's `Finish` trace events, so a workload runner can build a
+    /// latency distribution from a single concurrent batch.
     pub finish_times_ns: Vec<u64>,
 }
 
-/// Where one query's work and traffic concentrated (see
-/// [`SkypeerEngine::profile_query`]).
-#[derive(Clone, Debug)]
-pub struct QueryProfile {
-    /// Raw per-node / per-link breakdown.
-    pub breakdown: skypeer_netsim::des::SimBreakdown,
-    /// Fraction of all computation spent on the initiator.
-    pub initiator_compute_share: f64,
-    /// Bytes that crossed the initiator's inbound links.
-    pub initiator_inbound_bytes: u64,
-    /// Bytes that crossed any link.
-    pub total_bytes: u64,
+/// Faults injected into one simulated query (see [`QueryRequest`]). The
+/// default injects none.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FaultPlan {
+    /// Super-peers that crash, with the simulated time of each crash:
+    /// from then on they neither receive nor send.
+    pub crashes: Vec<(usize, u64)>,
+    /// Fault-tolerance extension (the paper's future work): every
+    /// super-peer abandons children that stay silent this long after the
+    /// query was forwarded, and flags the answer incomplete. With it, a
+    /// query terminates whatever crashes.
+    pub child_timeout_ns: Option<u64>,
+    /// Silent in-flight answer corruption (audit drills). It changes no
+    /// timing and no byte count, only the delivered answers.
+    pub answer_fault: Option<AnswerFault>,
 }
 
-/// A built SKYPEER network, ready to answer queries.
+/// One query as [`SkypeerEngine::execute`] runs it.
+///
+/// Under a fault plan with a crash or a child timeout the answer may be
+/// flagged incomplete; it is then the exact skyline *of the data that
+/// reached the initiator*: relative to the true global skyline it may miss
+/// points held by lost subtrees and may contain points that only a lost
+/// subtree could have dominated. A complete answer is the exact global
+/// skyline.
+#[derive(Clone, Debug, PartialEq)]
+pub struct QueryRequest {
+    /// The subspace and the initiating super-peer.
+    pub query: Query,
+    /// The SKYPEER strategy; the sampling backend has no variant axis and
+    /// ignores it.
+    pub variant: Variant,
+    /// The dominance flavour of every kernel. Extended makes the initiator
+    /// end up with the *global extended skyline* `ext-SKY_U`, a superset
+    /// of `SKY_U` (Observation 3) that can be refined locally into the
+    /// exact `SKY_{U'}` for **any** `U' ⊆ U` (see
+    /// [`skypeer_skyline::extended::refine_from_ext`]) — which is what
+    /// makes it worth caching. The run stays exact because removing
+    /// ext-dominated points never removes a point another peer could not
+    /// also ext-dominate, and threshold pruning stays sound: `f(p) >
+    /// dist_U(q)` implies `q` is strictly smaller than `p` on every
+    /// dimension of `U`.
+    pub flavour: Dominance,
+    /// The distributed-skyline protocol.
+    pub backend: BackendKind,
+    /// Per-directed-link overrides of the configured [`LinkModel`], for
+    /// perturbation experiments: capture a baseline trace, bump one link's
+    /// latency, capture again, and diff the two. They change timings only.
+    pub link_overrides: Vec<(usize, usize, LinkModel)>,
+    /// Injected faults.
+    pub faults: FaultPlan,
+}
+
+impl QueryRequest {
+    /// `query` under `variant`: standard dominance, the SKYPEER backend,
+    /// the configured links and no faults.
+    pub fn new(query: Query, variant: Variant) -> Self {
+        QueryRequest {
+            query,
+            variant,
+            flavour: Dominance::Standard,
+            backend: BackendKind::Skypeer,
+            link_overrides: Vec::new(),
+            faults: FaultPlan::default(),
+        }
+    }
+}
+
+/// A built SKYPEER network, ready to answer queries. It is `Sync`: queries
+/// may run on several threads at once.
 ///
 /// ```
 /// use skypeer_core::{EngineConfig, SkypeerEngine, Variant};
@@ -238,14 +304,13 @@ pub struct SkypeerEngine {
     /// nodes.
     stores: Vec<Arc<SortedDataset>>,
     preprocess: PreprocessReport,
-    /// Per-query dominance-index policy applied at query time (defaults to
-    /// `Fixed(config.index)`).
-    query_policy: crate::planner::IndexPolicy,
-    next_qid: std::cell::Cell<u32>,
-    /// Optional in-flight answer corruption (audit drills); `None` keeps
-    /// every run byte-identical to a fault-free engine.
-    fault: std::cell::Cell<Option<crate::audit::AnswerFault>>,
+    next_qid: AtomicU32,
 }
+
+const _: fn() = || {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<SkypeerEngine>();
+};
 
 impl SkypeerEngine {
     /// Generates topology and data and runs the preprocessing phase (in
@@ -272,31 +337,26 @@ impl SkypeerEngine {
             config.index,
             |p| config.dataset.generate_peer(p, peer_home[p]),
         );
-        SkypeerEngine {
-            config,
-            topology,
-            stores: stores.into_iter().map(|s| s.store).collect(),
-            preprocess,
-            query_policy: crate::planner::IndexPolicy::Fixed(config.index),
-            next_qid: std::cell::Cell::new(1),
-            fault: std::cell::Cell::new(None),
-        }
+        let stores = stores.into_iter().map(|s| s.store).collect();
+        SkypeerEngine::from_stores(config, topology, stores, preprocess)
     }
 
-    /// Installs (or clears) an in-flight [`crate::audit::AnswerFault`]
-    /// applied to every subsequent observed run — the audit drill that
-    /// silently corrupts one ext-skyline entry in transit. `None` (the
-    /// default) leaves every code path byte-identical to a fault-free
-    /// engine.
-    pub fn set_fault(&self, fault: Option<crate::audit::AnswerFault>) {
-        self.fault.set(fault);
-    }
-
-    /// Switches the query-time dominance-index policy (preprocessing
-    /// always used `config.index`). `IndexPolicy::Auto` picks per query
-    /// from the cardinality estimate — see [`crate::planner`].
-    pub fn set_query_policy(&mut self, policy: crate::planner::IndexPolicy) {
-        self.query_policy = policy;
+    /// An engine over stores preprocessed elsewhere — from a CSV file, for
+    /// instance. Queries read the index, cost model, link model and routing
+    /// of `config`; its dataset spec only describes the data to tools that
+    /// regenerate it (lineage, audits).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one store per super-peer of `topology`.
+    pub fn from_stores(
+        config: EngineConfig,
+        topology: Topology,
+        stores: Vec<Arc<SortedDataset>>,
+        preprocess: PreprocessReport,
+    ) -> Self {
+        assert_eq!(topology.len(), stores.len(), "one store per super-peer required");
+        SkypeerEngine { config, topology, stores, preprocess, next_qid: AtomicU32::new(1) }
     }
 
     /// The engine's configuration.
@@ -319,62 +379,35 @@ impl SkypeerEngine {
         &self.stores[sp]
     }
 
-    /// All per-super-peer stores, shareable with simulator nodes.
-    pub(crate) fn shared_stores(&self) -> &[Arc<SortedDataset>] {
-        &self.stores
+    /// The backbone and stores the engine's queries run on.
+    fn backbone(&self) -> Backbone<'_> {
+        Backbone {
+            topology: &self.topology,
+            stores: &self.stores,
+            index: self.config.index,
+            routing: self.config.routing,
+        }
     }
 
-    /// Allocates the next query id (wrapping).
-    pub(crate) fn alloc_qid(&self) -> u32 {
-        let qid = self.next_qid.get();
-        self.next_qid.set(qid.wrapping_add(1));
-        qid
+    /// Allocates `n` consecutive query ids (wrapping), returning the first.
+    /// The counter publishes no other data, so `Relaxed` suffices.
+    fn alloc_qids(&self, n: u32) -> u32 {
+        self.next_qid.fetch_add(n, Ordering::Relaxed)
     }
 
-    /// The query-time dominance-index policy.
-    pub(crate) fn current_query_policy(&self) -> crate::planner::IndexPolicy {
-        self.query_policy
-    }
-
-    /// The currently-installed answer fault, if any.
-    pub(crate) fn current_fault(&self) -> Option<crate::audit::AnswerFault> {
-        self.fault.get()
-    }
-
-    /// Builds the per-run node vector.
-    fn make_nodes(
-        &self,
-        query: Query,
-        variant: Variant,
-        qid: u32,
-        flavour: Dominance,
-    ) -> Vec<SuperPeerNode> {
-        let tree = match self.config.routing {
-            RoutingMode::Flood => None,
-            RoutingMode::SpanningTree => Some(self.topology.bfs_tree(query.initiator)),
-        };
-        (0..self.topology.len())
-            .map(|sp| {
-                let init = (sp == query.initiator).then_some(InitQuery {
-                    qid,
-                    subspace: query.subspace,
-                    variant,
-                    flavour,
-                });
-                let node = SuperPeerNode::new(
-                    sp,
-                    self.topology.neighbors(sp).to_vec(),
-                    Arc::clone(&self.stores[sp]),
-                    self.config.index,
-                    init,
-                )
-                .with_index_policy(self.query_policy);
-                match &tree {
-                    Some(children) => node.with_tree_routing(children[sp].clone()),
-                    None => node,
-                }
-            })
-            .collect()
+    /// Executes one query in a **single** simulation with the configured
+    /// links, optionally traced. There is no zero-delay run, so
+    /// `comp_time_ns` is reported as 0 (see [`SkypeerEngine::run_query`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault plan without crashes and child timeouts leaves the
+    /// answer incomplete (a protocol bug), if the query never finishes (a
+    /// crash without a child timeout can stall it), or if the sampling
+    /// backend is asked to survive crashes or timeouts, which it cannot.
+    pub fn execute(&self, req: &QueryRequest, tracer: Option<Arc<dyn Tracer>>) -> QueryOutcome {
+        let (link, cost) = (self.config.link, self.config.cost);
+        self.backbone().execute(self.alloc_qids(1), req, link, cost, tracer)
     }
 
     /// Executes one query under `variant` on the DES and returns its
@@ -401,98 +434,16 @@ impl SkypeerEngine {
         self.run_query_inner(query, variant, Some(tracer)).0
     }
 
-    /// The soak-runner path: executes one query in a **single** simulation
-    /// with the configured links, optionally traced. Unlike
-    /// [`SkypeerEngine::run_query`] there is no second zero-delay run and
-    /// no cross-check between the two, so a long workload pays one
-    /// simulation per query instead of two; consequently `comp_time_ns`
-    /// is reported as 0 (the zero-delay run is what defines it). The
-    /// answer is still asserted complete.
+    /// The soak-runner path: [`SkypeerEngine::execute`] of a plain
+    /// [`QueryRequest::new`]. A long workload pays one simulation per query
+    /// instead of two; `comp_time_ns` is reported as 0.
     pub fn run_query_observed(
         &self,
         query: Query,
         variant: Variant,
         tracer: Option<Arc<dyn Tracer>>,
     ) -> QueryOutcome {
-        self.run_observed_inner(query, variant, Dominance::Standard, tracer, &[])
-    }
-
-    /// [`SkypeerEngine::run_query_observed`] with per-directed-link
-    /// overrides of the configured [`LinkModel`] — the perturbation hook
-    /// for regression root-cause work: capture a baseline trace, bump one
-    /// link's latency, capture again, and diff the two. Overrides change
-    /// timings only; the answer is still asserted complete.
-    pub fn run_query_observed_perturbed(
-        &self,
-        query: Query,
-        variant: Variant,
-        overrides: &[(usize, usize, LinkModel)],
-        tracer: Option<Arc<dyn Tracer>>,
-    ) -> QueryOutcome {
-        self.run_observed_inner(query, variant, Dominance::Standard, tracer, overrides)
-    }
-
-    /// [`SkypeerEngine::run_query_observed`] with the **Extended** dominance
-    /// flavour: every kernel along the way (local filtering, threshold
-    /// pruning, merging) uses ext-domination, so the initiator ends up with
-    /// the *global extended skyline* `ext-SKY_U`. That result is a superset
-    /// of `SKY_U` (Observation 3) and, crucially, can be refined locally
-    /// into the exact `SKY_{U'}` for **any** `U' ⊆ U` (see
-    /// [`skypeer_skyline::extended::refine_from_ext`]) — which is what
-    /// makes it worth caching. The run is exact because removing
-    /// ext-dominated points never removes a point another peer could not
-    /// also ext-dominate, and threshold pruning stays sound: `f(p) >
-    /// dist_U(q)` implies `q` is strictly smaller than `p` on every
-    /// dimension of `U`.
-    pub fn run_query_ext_observed(
-        &self,
-        query: Query,
-        variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-    ) -> QueryOutcome {
-        self.run_observed_inner(query, variant, Dominance::Extended, tracer, &[])
-    }
-
-    fn run_observed_inner(
-        &self,
-        query: Query,
-        variant: Variant,
-        flavour: Dominance,
-        tracer: Option<Arc<dyn Tracer>>,
-        link_overrides: &[(usize, usize, LinkModel)],
-    ) -> QueryOutcome {
-        let qid = self.alloc_qid();
-        let mut sim = Sim::new(
-            self.make_nodes(query, variant, qid, flavour),
-            self.config.link,
-            self.config.cost,
-        );
-        for &(from, to, model) in link_overrides {
-            sim = sim.with_link_override(from, to, model);
-        }
-        if let Some(tracer) = tracer {
-            sim = sim.with_tracer(tracer);
-        }
-        if let Some(fault) = self.fault.get() {
-            sim = sim.with_tamper_hook(move |_, _, msg| fault.tamper(msg));
-        }
-        let out = sim.run(query.initiator);
-        let (stats, result, complete) = extract(out, query.initiator);
-        assert!(complete, "failure-free runs must be complete");
-        let mut result_ids: Vec<u64> = (0..result.len()).map(|i| result.points().id(i)).collect();
-        result_ids.sort_unstable();
-        QueryOutcome {
-            result_ids,
-            complete,
-            result,
-            total_time_ns: stats.finished_at.expect("query must complete"),
-            comp_time_ns: 0,
-            volume_bytes: stats.bytes,
-            messages: stats.messages,
-            dropped: stats.dropped,
-            compute_ns_total: stats.compute_ns_total,
-            rounds: stats.rounds,
-        }
+        self.execute(&QueryRequest::new(query, variant), tracer)
     }
 
     /// [`SkypeerEngine::run_query`], also returning how many local
@@ -503,60 +454,25 @@ impl SkypeerEngine {
         variant: Variant,
         tracer: Option<Arc<dyn Tracer>>,
     ) -> (QueryOutcome, usize) {
-        let qid = self.alloc_qid();
+        let qid = self.alloc_qids(1);
+        let req = QueryRequest::new(query, variant);
         // Both runs share one memo, so the zero-delay run replays the local
         // skylines the configured-link run computed.
         let memo = Arc::new(LocalRunMemo::default());
-        let nodes = || -> Vec<SuperPeerNode> {
-            self.make_nodes(query, variant, qid, Dominance::Standard)
-                .into_iter()
-                .map(|node| node.with_local_run_memo(Arc::clone(&memo)))
-                .collect()
+        let leg = |link, tracer| {
+            let nodes = self.backbone().nodes(Some((qid, &req)), Some(&memo));
+            simulate(nodes, &req, link, self.config.cost, tracer)
         };
-
-        // Total-time run with the configured (4 KB/s) links.
-        let mut sim = Sim::new(nodes(), self.config.link, self.config.cost);
-        if let Some(tracer) = tracer {
-            sim = sim.with_tracer(tracer);
-        }
-        let real = sim.run(query.initiator);
-        let (real_stats, real_result, real_complete) = extract(real, query.initiator);
-
-        // Computational-time run with zero-delay links.
-        let zero =
-            Sim::new(nodes(), LinkModel::zero_delay(), self.config.cost).run(query.initiator);
-        let (zero_stats, zero_result, zero_complete) = extract(zero, query.initiator);
-        assert!(real_complete && zero_complete, "failure-free runs must be complete");
-
-        let mut real_ids: Vec<u64> =
-            (0..real_result.len()).map(|i| real_result.points().id(i)).collect();
-        real_ids.sort_unstable();
-        let mut zero_ids: Vec<u64> =
-            (0..zero_result.len()).map(|i| zero_result.points().id(i)).collect();
-        zero_ids.sort_unstable();
+        // Total-time run with the configured (4 KB/s) links, then the
+        // computational-time run with zero-delay links.
+        let real = leg(self.config.link, tracer);
+        let zero = leg(LinkModel::zero_delay(), None);
+        assert!(real.complete && zero.complete, "failure-free runs must be complete");
         assert_eq!(
-            real_ids, zero_ids,
+            real.result_ids, zero.result_ids,
             "link model must not change the query answer (variant {variant})"
         );
-
-        let outcome = QueryOutcome {
-            result_ids: real_ids,
-            complete: real_complete,
-            result: real_result,
-            total_time_ns: real_stats.finished_at.expect("query must complete"),
-            comp_time_ns: zero_stats.finished_at.expect("query must complete"),
-            volume_bytes: real_stats.bytes,
-            messages: real_stats.messages,
-            dropped: real_stats.dropped,
-            compute_ns_total: real_stats.compute_ns_total,
-            rounds: real_stats.rounds,
-        };
-        (outcome, memo.hits())
-    }
-
-    /// Runs a whole workload under `variant`, returning per-query outcomes.
-    pub fn run_workload(&self, queries: &[Query], variant: Variant) -> Vec<QueryOutcome> {
-        queries.iter().map(|q| self.run_query(*q, variant)).collect()
+        (QueryOutcome { comp_time_ns: zero.total_time_ns, ..real }, memo.hits())
     }
 
     /// Runs a whole batch of queries **concurrently** in one simulation:
@@ -578,20 +494,9 @@ impl SkypeerEngine {
             "concurrent batches require flood routing"
         );
         assert!(!batch.is_empty(), "empty batch");
-        let base_qid = self.next_qid.get();
-        self.next_qid.set(base_qid.wrapping_add(batch.len() as u32));
+        let base_qid = self.alloc_qids(batch.len() as u32);
 
-        let mut nodes: Vec<SuperPeerNode> = (0..self.topology.len())
-            .map(|sp| {
-                SuperPeerNode::new(
-                    sp,
-                    self.topology.neighbors(sp).to_vec(),
-                    Arc::clone(&self.stores[sp]),
-                    self.config.index,
-                    None,
-                )
-            })
-            .collect();
+        let mut nodes = self.backbone().nodes(None, None);
         let mut starts: Vec<usize> = Vec::new();
         for (i, (q, variant)) in batch.iter().enumerate() {
             let qid = base_qid.wrapping_add(i as u32);
@@ -600,13 +505,11 @@ impl SkypeerEngine {
                 starts.push(q.initiator);
             }
         }
-        let finish_times: std::rc::Rc<std::cell::RefCell<Vec<u64>>> = Default::default();
-        let sink = std::rc::Rc::clone(&finish_times);
+        let finishes = Arc::new(FinishTimes::default());
         let out = Sim::new(nodes, self.config.link, self.config.cost)
-            .with_finish_hook(move |_node, at| sink.borrow_mut().push(at))
+            .with_tracer(Arc::clone(&finishes) as Arc<dyn Tracer>)
             .run_multi(&starts, batch.len());
         let makespan_ns = out.stats.finished_at.expect("batch must complete");
-        let finish_times_ns = finish_times.borrow().clone();
 
         let mut per_query: Vec<Vec<u64>> = Vec::with_capacity(batch.len());
         for (i, (q, _)) in batch.iter().enumerate() {
@@ -615,105 +518,15 @@ impl SkypeerEngine {
                 .outcome_for(qid)
                 .unwrap_or_else(|| panic!("query {qid} missing at its initiator"));
             assert!(answer.complete, "failure-free batch must be complete");
-            let mut ids: Vec<u64> =
-                (0..answer.result.len()).map(|j| answer.result.points().id(j)).collect();
-            ids.sort_unstable();
-            per_query.push(ids);
+            per_query.push(sorted_ids(&answer.result));
         }
+        let finish_times_ns = std::mem::take(&mut *finishes.0.lock().expect("tracer poisoned"));
         ConcurrentOutcome {
             result_ids: per_query,
             makespan_ns,
             volume_bytes: out.stats.bytes,
             messages: out.stats.messages,
             finish_times_ns,
-        }
-    }
-
-    /// Profiles one query with per-node / per-link breakdowns: where the
-    /// computation concentrated and which links carried the bytes. The
-    /// classic finding is that fixed merging concentrates both on the
-    /// initiator and its links — the bottleneck progressive merging
-    /// removes (Section 5.2.3 of the paper).
-    pub fn profile_query(&self, query: Query, variant: Variant) -> QueryProfile {
-        let qid = self.alloc_qid();
-        let out = Sim::new(
-            self.make_nodes(query, variant, qid, Dominance::Standard),
-            self.config.link,
-            self.config.cost,
-        )
-        .with_breakdown()
-        .run(query.initiator);
-        let breakdown = out.breakdown.expect("breakdown enabled");
-        let total: u64 = breakdown.compute_ns.iter().sum();
-        let initiator_share = if total == 0 {
-            0.0
-        } else {
-            breakdown.compute_ns[query.initiator] as f64 / total as f64
-        };
-        let inbound_initiator: u64 = breakdown
-            .link_bytes
-            .iter()
-            .filter(|(&(_, to), _)| to == query.initiator)
-            .map(|(_, &b)| b)
-            .sum();
-        QueryProfile {
-            breakdown,
-            initiator_compute_share: initiator_share,
-            initiator_inbound_bytes: inbound_initiator,
-            total_bytes: out.stats.bytes,
-        }
-    }
-
-    /// Fault-tolerance extension (the paper's future work): executes one
-    /// query while the given super-peers crash at the given simulated
-    /// times. Every surviving super-peer abandons children that stay
-    /// silent for `child_timeout_ns`, so the query always terminates.
-    ///
-    /// When the outcome is flagged incomplete, the answer is the exact
-    /// skyline *of the data that reached the initiator*: relative to the
-    /// true global skyline it may miss points held by lost subtrees and
-    /// may contain points that only a lost subtree could have dominated.
-    /// When the outcome is complete, it is the exact global skyline.
-    ///
-    /// The query is simulated once, with the configured links, so
-    /// `comp_time_ns` is reported as 0, as on
-    /// [`SkypeerEngine::run_query_observed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the initiator itself fails before completion.
-    pub fn run_query_with_failures(
-        &self,
-        query: Query,
-        variant: Variant,
-        failures: &[(usize, u64)],
-        child_timeout_ns: u64,
-    ) -> QueryOutcome {
-        let qid = self.alloc_qid();
-        let nodes: Vec<SuperPeerNode> = self
-            .make_nodes(query, variant, qid, Dominance::Standard)
-            .into_iter()
-            .map(|n| n.with_child_timeout(child_timeout_ns))
-            .collect();
-        let mut sim = Sim::new(nodes, self.config.link, self.config.cost);
-        for &(node, at) in failures {
-            sim = sim.with_node_failure(node, at);
-        }
-        let out = sim.run(query.initiator);
-        let (stats, result, complete) = extract(out, query.initiator);
-        let mut result_ids: Vec<u64> = (0..result.len()).map(|i| result.points().id(i)).collect();
-        result_ids.sort_unstable();
-        QueryOutcome {
-            result_ids,
-            complete,
-            result,
-            total_time_ns: stats.finished_at.expect("timeouts guarantee completion"),
-            comp_time_ns: 0,
-            volume_bytes: stats.bytes,
-            messages: stats.messages,
-            dropped: stats.dropped,
-            compute_ns_total: stats.compute_ns_total,
-            rounds: stats.rounds,
         }
     }
 
@@ -731,26 +544,151 @@ impl SkypeerEngine {
             f64::INFINITY,
             DominanceIndex::Linear,
         );
-        let mut ids: Vec<u64> =
-            (0..merged.result.len()).map(|i| merged.result.points().id(i)).collect();
-        ids.sort_unstable();
-        ids
+        sorted_ids(&merged.result)
     }
 }
 
-/// Pulls the initiator's final result out of a finished simulation.
-fn extract(
-    out: skypeer_netsim::des::SimOutcome<SuperPeerNode>,
-    initiator: usize,
-) -> (SimStats, SortedDataset, bool) {
-    let answer = out
-        .nodes
-        .into_iter()
-        .nth(initiator)
-        .expect("initiator exists")
-        .into_outcome()
-        .expect("initiator must hold the final result after completion");
-    (out.stats, answer.result, answer.complete)
+/// The backbone and stores one run's nodes are built over, and how they
+/// route and index. The engine, the churn runner and the live runtime
+/// each describe their network with one.
+pub(crate) struct Backbone<'a> {
+    pub(crate) topology: &'a Topology,
+    pub(crate) stores: &'a [Arc<SortedDataset>],
+    pub(crate) index: DominanceIndex,
+    pub(crate) routing: RoutingMode,
+}
+
+impl Backbone<'_> {
+    /// One SKYPEER node per super-peer. With `run = Some((qid, req))` the
+    /// initiator starts `req` as query `qid`, spanning-tree routing roots
+    /// at it, and every node arms the request's child timeout; with `None`
+    /// no node starts a query. `memo` shares local skyline runs with the
+    /// other simulations of the same query.
+    pub(crate) fn nodes(
+        &self,
+        run: Option<(u32, &QueryRequest)>,
+        memo: Option<&Arc<LocalRunMemo>>,
+    ) -> Vec<SuperPeerNode> {
+        let initiator = run.map(|(_, req)| req.query.initiator);
+        let tree = match (self.routing, initiator) {
+            (RoutingMode::SpanningTree, Some(root)) => Some(self.topology.bfs_tree(root)),
+            _ => None,
+        };
+        let child_timeout = run.and_then(|(_, req)| req.faults.child_timeout_ns);
+        (0..self.topology.len())
+            .map(|sp| {
+                let init = run.filter(|_| initiator == Some(sp)).map(|(qid, req)| InitQuery {
+                    qid,
+                    subspace: req.query.subspace,
+                    variant: req.variant,
+                    flavour: req.flavour,
+                });
+                let mut node = SuperPeerNode::new(
+                    sp,
+                    self.topology.neighbors(sp).to_vec(),
+                    Arc::clone(&self.stores[sp]),
+                    self.index,
+                    init,
+                );
+                if let Some(children) = &tree {
+                    node = node.with_tree_routing(children[sp].clone());
+                }
+                if let Some(timeout) = child_timeout {
+                    node = node.with_child_timeout(timeout);
+                }
+                match memo {
+                    Some(memo) => node.with_local_run_memo(Arc::clone(memo)),
+                    None => node,
+                }
+            })
+            .collect()
+    }
+
+    /// The executor: runs `req` as query `qid` in one simulation over
+    /// `link` and `cost` (see [`SkypeerEngine::execute`]).
+    pub(crate) fn execute(
+        &self,
+        qid: u32,
+        req: &QueryRequest,
+        link: LinkModel,
+        cost: CostModel,
+        tracer: Option<Arc<dyn Tracer>>,
+    ) -> QueryOutcome {
+        let resilient = !req.faults.crashes.is_empty() || req.faults.child_timeout_ns.is_some();
+        let out = match req.backend {
+            BackendKind::Skypeer => {
+                simulate(self.nodes(Some((qid, req)), None), req, link, cost, tracer)
+            }
+            BackendKind::Sampling => {
+                assert!(!resilient, "the sampling backend cannot survive crashes or timeouts");
+                let Query { subspace, initiator } = req.query;
+                let nodes =
+                    sampling_nodes(self.stores, self.index, initiator, qid, subspace, req.flavour);
+                simulate(nodes, req, link, cost, tracer)
+            }
+        };
+        assert!(resilient || out.complete, "failure-free runs must be complete");
+        out
+    }
+}
+
+/// Runs one single-query simulation of `nodes` from `req`'s initiator,
+/// with its link overrides and faults, and reads the initiator's answer.
+fn simulate<B: Behavior<Msg = Msg> + Initiator>(
+    nodes: Vec<B>,
+    req: &QueryRequest,
+    link: LinkModel,
+    cost: CostModel,
+    tracer: Option<Arc<dyn Tracer>>,
+) -> QueryOutcome {
+    let mut sim = Sim::new(nodes, link, cost);
+    for &(from, to, model) in &req.link_overrides {
+        sim = sim.with_link_override(from, to, model);
+    }
+    for &(node, at) in &req.faults.crashes {
+        sim = sim.with_node_failure(node, at);
+    }
+    if let Some(fault) = req.faults.answer_fault {
+        sim = sim.with_delivery_hook(move |_, _, msg| Some(fault.tamper(&msg).unwrap_or(msg)));
+    }
+    if let Some(tracer) = tracer {
+        sim = sim.with_tracer(tracer);
+    }
+    let out = sim.run(req.query.initiator);
+    let answer = FinalAnswer::take(out.nodes, req.query.initiator);
+    let stats = out.stats;
+    QueryOutcome {
+        result_ids: sorted_ids(&answer.result),
+        complete: answer.complete,
+        result: answer.result,
+        total_time_ns: stats.finished_at.expect("query must complete"),
+        comp_time_ns: 0,
+        volume_bytes: stats.bytes,
+        messages: stats.messages,
+        dropped: stats.dropped,
+        compute_ns_total: stats.compute_ns_total,
+        rounds: stats.rounds,
+    }
+}
+
+/// The ids of `set`, sorted.
+pub(crate) fn sorted_ids(set: &SortedDataset) -> Vec<u64> {
+    let mut ids: Vec<u64> = (0..set.len()).map(|i| set.points().id(i)).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Keeps the time of every `Finish` event, in record order: the
+/// completion times of a concurrent batch.
+#[derive(Default)]
+struct FinishTimes(Mutex<Vec<u64>>);
+
+impl Tracer for FinishTimes {
+    fn record(&self, ev: TraceEvent) {
+        if let TraceEvent::Finish { at, .. } = ev {
+            self.0.lock().expect("tracer poisoned").push(at);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -836,7 +774,8 @@ mod unit {
             Query { subspace: Subspace::from_dims(&[0, 1]), initiator: 0 },
             Query { subspace: Subspace::from_dims(&[2, 3]), initiator: 3 },
         ];
-        let outcomes = engine.run_workload(&queries, Variant::Ftpm);
+        let outcomes: Vec<QueryOutcome> =
+            queries.iter().map(|q| engine.run_query(*q, Variant::Ftpm)).collect();
         let m = QueryMetrics::from_outcomes(&outcomes);
         assert_eq!(m.queries, 2);
         let manual = (outcomes[0].total_time_ns as f64 + outcomes[1].total_time_ns as f64) / 2.0;
@@ -887,19 +826,13 @@ mod unit {
         assert_eq!(observed.comp_time_ns, 0, "no zero-delay leg on the observed path");
         assert!(!tracer.take().is_empty(), "the single sim is traced");
 
-        let fresh = Sim::new(
-            engine.make_nodes(query, variant, engine.alloc_qid(), Dominance::Standard),
-            LinkModel::zero_delay(),
-            engine.config.cost,
-        )
-        .run(query.initiator);
-        let (stats, result, complete) = extract(fresh, query.initiator);
-        assert!(complete, "{case}");
-        assert_eq!(stats.finished_at, Some(full.comp_time_ns), "{case}");
-        let mut ids: Vec<u64> = (0..result.len()).map(|i| result.points().id(i)).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, full.result_ids, "{case}");
-        assert_eq!(ids, engine.centralized_skyline(query.subspace), "{case}");
+        let req = QueryRequest::new(query, variant);
+        let nodes = engine.backbone().nodes(Some((engine.alloc_qids(1), &req)), None);
+        let fresh = simulate(nodes, &req, LinkModel::zero_delay(), engine.config.cost, None);
+        assert!(fresh.complete, "{case}");
+        assert_eq!(fresh.total_time_ns, full.comp_time_ns, "{case}");
+        assert_eq!(fresh.result_ids, full.result_ids, "{case}");
+        assert_eq!(fresh.result_ids, engine.centralized_skyline(query.subspace), "{case}");
         hits
     }
 
@@ -1014,6 +947,7 @@ mod unit {
 mod profile_tests {
     use super::*;
     use skypeer_data::DatasetKind;
+    use skypeer_netsim::obs::{MemTracer, MetricsRegistry};
 
     #[test]
     fn fixed_merging_concentrates_on_the_initiator() {
@@ -1034,57 +968,28 @@ mod profile_tests {
             routing: RoutingMode::Flood,
         });
         let q = Query { subspace: Subspace::from_dims(&[0, 2, 4]), initiator: 0 };
-        let fm = engine.profile_query(q, Variant::Ftfm);
-        let pm = engine.profile_query(q, Variant::Ftpm);
-        assert!(
-            fm.initiator_compute_share > pm.initiator_compute_share,
-            "fixed merging must load the initiator more ({:.3} vs {:.3})",
-            fm.initiator_compute_share,
-            pm.initiator_compute_share
-        );
-        assert!(
-            fm.initiator_inbound_bytes > pm.initiator_inbound_bytes,
-            "fixed merging must funnel more bytes into the initiator"
-        );
-        assert!(fm.breakdown.hottest_node().is_some());
-        assert!(fm.initiator_inbound_bytes <= fm.total_bytes);
-    }
-}
-
-#[cfg(test)]
-mod policy_tests {
-    use super::*;
-    use crate::planner::IndexPolicy;
-    use skypeer_data::DatasetKind;
-
-    #[test]
-    fn auto_policy_preserves_answers_through_the_engine() {
-        let n_superpeers = 6;
-        let cfg = EngineConfig {
-            n_peers: 18,
-            n_superpeers,
-            dataset: DatasetSpec {
-                dim: 5,
-                points_per_peer: 30,
-                kind: DatasetKind::Uniform,
-                seed: 77,
-            },
-            topology: TopologySpec::paper_default(n_superpeers, 78),
-            index: DominanceIndex::RTree,
-            cost: CostModel::default(),
-            link: LinkModel::paper_4kbps(),
-            routing: RoutingMode::Flood,
+        // Where one query's computation and traffic concentrated, read
+        // from its trace: the initiator's share of all service time, the
+        // bytes into the initiator, and the run's metrics.
+        let profile = |variant| {
+            let tracer = Arc::new(MemTracer::new());
+            let req = QueryRequest::new(q, variant);
+            let out = engine.execute(&req, Some(Arc::clone(&tracer) as Arc<dyn Tracer>));
+            let m = MetricsRegistry::from_events(&tracer.take());
+            let total: u64 = m.per_node.iter().map(|n| n.service_ns).sum();
+            let share = m.per_node[q.initiator].service_ns as f64 / total as f64;
+            let inbound: u64 =
+                m.link_bytes.iter().filter(|(&(_, to), _)| to == q.initiator).map(|(_, b)| b).sum();
+            (share, inbound, m, out)
         };
-        let fixed_engine = SkypeerEngine::build(cfg);
-        let mut auto_engine = SkypeerEngine::build(cfg);
-        auto_engine.set_query_policy(IndexPolicy::Auto);
-        let q = Query { subspace: Subspace::from_dims(&[0, 2, 4]), initiator: 2 };
-        for variant in Variant::ALL {
-            assert_eq!(
-                fixed_engine.run_query(q, variant).result_ids,
-                auto_engine.run_query(q, variant).result_ids,
-                "{variant}"
-            );
-        }
+        let (fm_share, fm_inbound, fm, fm_out) = profile(Variant::Ftfm);
+        let (pm_share, pm_inbound, _, _) = profile(Variant::Ftpm);
+        assert!(
+            fm_share > pm_share,
+            "fixed merging must load the initiator more ({fm_share:.3} vs {pm_share:.3})"
+        );
+        assert!(fm_inbound > pm_inbound, "fixed merging must funnel more bytes into the initiator");
+        assert!(fm.hottest_node().is_some());
+        assert!(fm_inbound <= fm_out.volume_bytes);
     }
 }

@@ -38,17 +38,15 @@ pub mod explain;
 pub mod live;
 pub mod msg;
 pub mod node;
-pub mod planner;
 pub mod preprocess;
 pub mod variants;
 pub mod verify;
 
 pub use audit::{AnswerFault, AuditSpec, AuditStats, AuditViolation, Auditor, LineageResolver};
-pub use backend::{
-    backend_for, parse_backend, BackendKind, DistributedSkylineBackend, SamplingBackend,
-    SkypeerBackend,
+pub use backend::{parse_backend, BackendKind};
+pub use engine::{
+    EngineConfig, FaultPlan, QueryMetrics, QueryOutcome, QueryRequest, SkypeerEngine,
 };
-pub use engine::{EngineConfig, QueryMetrics, QueryOutcome, SkypeerEngine};
 pub use explain::ExplainReport;
 pub use preprocess::{preprocess_network, PreprocessReport, SuperPeerStore};
 pub use variants::Variant;

@@ -1,6 +1,6 @@
 //! Running a SKYPEER query on the live threaded runtime.
 //!
-//! The same [`SuperPeerNode`] state machine
+//! The same [`crate::node::SuperPeerNode`] state machine
 //! that the DES drives is handed to real OS threads here — one per
 //! super-peer, crossbeam channels as links. The result must be the exact
 //! subspace skyline regardless of thread scheduling, which the integration
@@ -10,12 +10,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skypeer_cache::{Flight, SharedSubspaceCache};
+use skypeer_data::Query;
 use skypeer_netsim::live::{run_live_multi_traced, LiveStats};
 use skypeer_netsim::obs::{SamplerHandle, Tracer};
 use skypeer_netsim::topology::Topology;
 use skypeer_skyline::{Dominance, DominanceIndex, SortedDataset, Subspace};
 
-use crate::node::{InitQuery, SuperPeerNode};
+use crate::cached::refine_miss;
+use crate::engine::{sorted_ids, Backbone, QueryRequest, RoutingMode};
+use crate::node::FinalAnswer;
 use crate::variants::Variant;
 
 /// Result of a live query execution.
@@ -36,78 +39,44 @@ pub struct LiveQueryOutcome {
 }
 
 /// Executes one subspace skyline query over `stores` live, with one thread
-/// per super-peer. Returns `None` if the query does not complete within
-/// `timeout` (which, absent deadlock bugs, it always does).
+/// per super-peer, under the dominance `flavour` (Extended leaves the
+/// global `ext-SKY_U` at the initiator, as a cache miss needs). An optional
+/// [`Tracer`] observes every node thread, and an optional metrics
+/// [`SamplerHandle`] flushes a Prometheus snapshot of the same tracer to
+/// its file while the query runs (plus one final flush after all threads
+/// join). Returns `None` if the query does not complete within `timeout`
+/// (which, absent deadlock bugs, it always does).
+///
+/// The live runtime has no link overrides, no fault injection and no
+/// sampling backend, so it takes no [`QueryRequest`].
+#[allow(clippy::too_many_arguments)]
 pub fn run_query_live(
     topology: &Topology,
     stores: &[Arc<SortedDataset>],
     subspace: Subspace,
     initiator: usize,
     variant: Variant,
-    index: DominanceIndex,
-    timeout: Duration,
-) -> Option<LiveQueryOutcome> {
-    run_query_live_traced(
-        topology, stores, subspace, initiator, variant, index, timeout, None, None,
-    )
-}
-
-/// [`run_query_live`] with an optional [`Tracer`] observing every node
-/// thread and an optional metrics [`SamplerHandle`] flushing a Prometheus
-/// snapshot of the same tracer to its file while the query runs (plus one
-/// final flush after all threads join).
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_live_traced(
-    topology: &Topology,
-    stores: &[Arc<SortedDataset>],
-    subspace: Subspace,
-    initiator: usize,
-    variant: Variant,
+    flavour: Dominance,
     index: DominanceIndex,
     timeout: Duration,
     tracer: Option<Arc<dyn Tracer>>,
     sampler: Option<&SamplerHandle>,
 ) -> Option<LiveQueryOutcome> {
-    run_live_inner(
-        topology,
-        stores,
-        subspace,
-        initiator,
-        variant,
-        Dominance::Standard,
-        index,
-        timeout,
-        tracer,
-        sampler,
-    )
-}
-
-/// [`run_query_live`] with the **Extended** dominance flavour: the
-/// initiator ends up with the global `ext-SKY_U`, which a
-/// [`skypeer_cache::SubspaceCache`] can admit and later refine into the
-/// exact `SKY_{U'}` for any `U' ⊆ U`. This is the miss path of the live
-/// cached runtime.
-pub fn run_query_live_ext(
-    topology: &Topology,
-    stores: &[Arc<SortedDataset>],
-    subspace: Subspace,
-    initiator: usize,
-    variant: Variant,
-    index: DominanceIndex,
-    timeout: Duration,
-) -> Option<LiveQueryOutcome> {
-    run_live_inner(
-        topology,
-        stores,
-        subspace,
-        initiator,
-        variant,
-        Dominance::Extended,
-        index,
-        timeout,
-        None,
-        None,
-    )
+    assert_eq!(topology.len(), stores.len(), "one store per super-peer required");
+    assert!(initiator < topology.len(), "initiator out of range");
+    let backbone = Backbone { topology, stores, index, routing: RoutingMode::Flood };
+    let req = QueryRequest { flavour, ..QueryRequest::new(Query { subspace, initiator }, variant) };
+    let nodes = backbone.nodes(Some((1, &req)), None);
+    let out = run_live_multi_traced(nodes, &[initiator], 1, timeout, tracer, sampler)?;
+    let finish_ns = out.finish_times.first().copied().unwrap_or(0);
+    let answer = FinalAnswer::take(out.nodes, initiator);
+    Some(LiveQueryOutcome {
+        result_ids: sorted_ids(&answer.result),
+        complete: answer.complete,
+        result: answer.result,
+        stats: out.stats,
+        finish_ns,
+    })
 }
 
 /// Executes one query through a [`SharedSubspaceCache`] with blocking
@@ -142,15 +111,14 @@ pub fn run_query_live_cached(
             finish_ns: 0,
         }),
         Flight::Lead => {
-            match run_query_live_ext(topology, stores, subspace, initiator, variant, index, timeout)
-            {
+            let ext = Dominance::Extended;
+            let out = run_query_live(
+                topology, stores, subspace, initiator, variant, ext, index, timeout, None, None,
+            );
+            match out {
                 Some(out) if out.complete => {
                     cache.complete(subspace, out.result.clone(), out.stats.bytes);
-                    let refined =
-                        skypeer_skyline::extended::refine_from_ext(&out.result, subspace, index);
-                    let mut result_ids: Vec<u64> =
-                        (0..refined.result.len()).map(|i| refined.result.points().id(i)).collect();
-                    result_ids.sort_unstable();
+                    let (refined, result_ids) = refine_miss(&out.result, subspace, index);
                     Some(LiveQueryOutcome {
                         result_ids,
                         complete: true,
@@ -166,55 +134,6 @@ pub fn run_query_live_cached(
             }
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_live_inner(
-    topology: &Topology,
-    stores: &[Arc<SortedDataset>],
-    subspace: Subspace,
-    initiator: usize,
-    variant: Variant,
-    flavour: Dominance,
-    index: DominanceIndex,
-    timeout: Duration,
-    tracer: Option<Arc<dyn Tracer>>,
-    sampler: Option<&SamplerHandle>,
-) -> Option<LiveQueryOutcome> {
-    assert_eq!(topology.len(), stores.len(), "one store per super-peer required");
-    assert!(initiator < topology.len(), "initiator out of range");
-    let nodes: Vec<SuperPeerNode> = (0..topology.len())
-        .map(|sp| {
-            let init =
-                (sp == initiator).then_some(InitQuery { qid: 1, subspace, variant, flavour });
-            SuperPeerNode::new(
-                sp,
-                topology.neighbors(sp).to_vec(),
-                Arc::clone(&stores[sp]),
-                index,
-                init,
-            )
-        })
-        .collect();
-    let out = run_live_multi_traced(nodes, &[initiator], 1, timeout, tracer, sampler)?;
-    let finish_ns = out.finish_times.first().copied().unwrap_or(0);
-    let answer = out
-        .nodes
-        .into_iter()
-        .nth(initiator)
-        .expect("initiator exists")
-        .into_outcome()
-        .expect("finished run must leave the result at the initiator");
-    let result = answer.result;
-    let mut result_ids: Vec<u64> = (0..result.len()).map(|i| result.points().id(i)).collect();
-    result_ids.sort_unstable();
-    Some(LiveQueryOutcome {
-        result_ids,
-        complete: answer.complete,
-        result,
-        stats: out.stats,
-        finish_ns,
-    })
 }
 
 #[cfg(test)]
@@ -259,8 +178,11 @@ mod unit {
                 u,
                 1,
                 variant,
+                Dominance::Standard,
                 DominanceIndex::Linear,
                 Duration::from_secs(20),
+                None,
+                None,
             )
             .expect("live query must complete");
             assert_eq!(out.result_ids, want, "variant {variant}");
@@ -338,8 +260,11 @@ mod unit {
             u,
             0,
             Variant::Ftpm,
+            Dominance::Standard,
             DominanceIndex::Linear,
             Duration::from_secs(20),
+            None,
+            None,
         )
         .expect("completes");
         for _ in 0..5 {
@@ -349,8 +274,11 @@ mod unit {
                 u,
                 0,
                 Variant::Ftpm,
+                Dominance::Standard,
                 DominanceIndex::Linear,
                 Duration::from_secs(20),
+                None,
+                None,
             )
             .expect("completes");
             assert_eq!(again.result_ids, first.result_ids, "thread schedule changed the answer");

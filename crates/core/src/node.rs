@@ -42,7 +42,6 @@ use skypeer_skyline::sorted::{KernelStats, ThresholdOutcome};
 use skypeer_skyline::{bnl, Dominance, DominanceIndex, PointSet, SortedDataset, Subspace};
 
 use crate::msg::Msg;
-use crate::planner::IndexPolicy;
 use crate::variants::Variant;
 
 /// A query this node initiates at start of run.
@@ -129,6 +128,26 @@ pub struct FinalAnswer {
     /// Whether every reachable super-peer contributed. `false` only under
     /// the fault-tolerance extension, after abandoning failed subtrees.
     pub complete: bool,
+}
+
+/// A node type whose initiator holds the final answer of a single-query
+/// run.
+pub(crate) trait Initiator {
+    /// The single final answer, consuming the node.
+    fn into_outcome(self) -> Option<FinalAnswer>;
+}
+
+impl FinalAnswer {
+    /// The answer the initiator among `nodes` holds after its single query
+    /// finished.
+    pub(crate) fn take<B: Initiator>(nodes: Vec<B>, initiator: usize) -> FinalAnswer {
+        nodes
+            .into_iter()
+            .nth(initiator)
+            .expect("initiator exists")
+            .into_outcome()
+            .expect("initiator must hold the final result after completion")
+    }
 }
 
 /// How queries spread over the backbone.
@@ -268,7 +287,7 @@ pub struct SuperPeerNode {
     id: usize,
     neighbors: Vec<usize>,
     store: Arc<SortedDataset>,
-    policy: IndexPolicy,
+    index: DominanceIndex,
     init_queries: Vec<InitQuery>,
     routing: Routing,
     /// Fault-tolerance extension: abandon children that have not closed
@@ -298,7 +317,7 @@ impl SuperPeerNode {
             id,
             neighbors,
             store,
-            policy: IndexPolicy::Fixed(index),
+            index,
             init_queries: init_query.into_iter().collect(),
             routing: Routing::Flood,
             child_timeout: None,
@@ -312,13 +331,6 @@ impl SuperPeerNode {
     /// Query ids must be unique across the whole run.
     pub fn push_init_query(&mut self, q: InitQuery) {
         self.init_queries.push(q);
-    }
-
-    /// Replaces the fixed dominance index with a per-query policy (see
-    /// [`IndexPolicy`]).
-    pub fn with_index_policy(mut self, policy: IndexPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Enables the fault-tolerance extension: children that have not
@@ -400,10 +412,9 @@ impl SuperPeerNode {
         variant: Variant,
         threshold: f64,
     ) -> (SortedDataset, LocalWork) {
-        let index = self.policy.resolve(self.store.len(), subspace);
         let started = Instant::now();
         let (result, threshold, stats) = if variant.uses_threshold() {
-            let out = self.store.subspace_skyline(subspace, flavour, threshold, index);
+            let out = self.store.subspace_skyline(subspace, flavour, threshold, self.index);
             (out.result, out.threshold, out.stats)
         } else {
             let (indices, bstats) = bnl::skyline_with_stats(self.store.points(), subspace, flavour);
@@ -480,13 +491,12 @@ impl SuperPeerNode {
         let local = state.local.take().expect("local result checked above");
         let collected = std::mem::take(&mut state.collected);
         let QueryState { subspace, variant, flavour, threshold, parent, complete, .. } = *state;
-        let index = || self.policy.resolve(self.store.len(), subspace);
         if let Some(parent) = parent {
             // Progressive merging sends children + local as one list
             // (Algorithm 2); under fixed merging the children's lists were
             // already relayed and the local result goes alone.
             let answer = if variant.merges_progressively() {
-                merge_reported(&local, &collected, subspace, flavour, threshold, index(), ctx)
+                merge_reported(&local, &collected, subspace, flavour, threshold, self.index, ctx)
                     .result
             } else {
                 local
@@ -498,7 +508,7 @@ impl SuperPeerNode {
         // result.
         let result = if variant.uses_threshold() {
             let merged =
-                merge_reported(&local, &collected, subspace, flavour, threshold, index(), ctx);
+                merge_reported(&local, &collected, subspace, flavour, threshold, self.index, ctx);
             if merged.stats.pruned_by_threshold > 0 {
                 ctx.note(ProtoEvent::Prune { qid, pruned: merged.stats.pruned_by_threshold });
             }
@@ -590,6 +600,12 @@ impl SuperPeerNode {
         // obtain an initial value for t, and then the query is forwarded"
         // (Section 5.2.3).
         self.launch(qid, init.variant.uses_threshold(), ctx);
+    }
+}
+
+impl Initiator for SuperPeerNode {
+    fn into_outcome(self) -> Option<FinalAnswer> {
+        SuperPeerNode::into_outcome(self)
     }
 }
 

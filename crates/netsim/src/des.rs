@@ -158,33 +158,6 @@ pub trait Behavior {
     fn on_timer(&mut self, _tag: u64, _ctx: &mut dyn Context<Self::Msg>) {}
 }
 
-/// Per-node / per-link breakdowns, collected when
-/// [`Sim::with_breakdown`] is enabled.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SimBreakdown {
-    /// Total computation service time per node, ns.
-    pub compute_ns: Vec<u64>,
-    /// Messages handled per node.
-    pub handled: Vec<u64>,
-    /// Bytes sent per directed link.
-    pub link_bytes: HashMap<(usize, usize), u64>,
-}
-
-impl SimBreakdown {
-    /// The busiest node by compute time, `(node, ns)`. Ties go to the
-    /// smallest node id so the answer is deterministic.
-    pub fn hottest_node(&self) -> Option<(usize, u64)> {
-        self.compute_ns.iter().copied().enumerate().max_by_key(|&(i, ns)| (ns, Reverse(i)))
-    }
-
-    /// The busiest directed link by bytes, `((from, to), bytes)`. Ties go
-    /// to the lexicographically smallest link so the answer does not
-    /// depend on `HashMap` iteration order.
-    pub fn hottest_link(&self) -> Option<((usize, usize), u64)> {
-        self.link_bytes.iter().map(|(&l, &b)| (l, b)).max_by_key(|&(l, b)| (b, Reverse(l)))
-    }
-}
-
 /// Aggregate statistics of one simulation run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -199,7 +172,7 @@ pub struct SimStats {
     pub finished_at: Option<SimTime>,
     /// Simulated time when the last event was processed.
     pub last_event_at: SimTime,
-    /// Messages dropped by the failure-injection hook.
+    /// Messages dropped: by crashed nodes or by the delivery hook.
     pub dropped: u64,
     /// Maximum causal message depth over all delivered messages: a
     /// message sent from the start-of-run handler is depth 1, a message
@@ -248,30 +221,14 @@ pub struct SimOutcome<B> {
     pub nodes: Vec<B>,
     /// Run statistics.
     pub stats: SimStats,
-    /// Per-node / per-link breakdowns, when enabled.
-    pub breakdown: Option<SimBreakdown>,
 }
 
-/// Failure-injection callback: sees `(from, to, msg)` and returns `true`
-/// to drop the message.
-pub type DropHook<M> = Box<dyn FnMut(usize, usize, &M) -> bool>;
-
-/// Delivery observer: `(time, from, to, msg)` for every delivered message,
-/// in delivery order. For tracing, visualization, and protocol tests.
-pub type TraceHook<M> = Box<dyn FnMut(SimTime, usize, usize, &M)>;
-
-/// Finish observer: `(node, at)` for every [`Context::finish`] call, in
-/// execution order. Lets a workload driver timestamp each query's
-/// completion inside a multi-query batch, where `SimStats::finished_at`
-/// only reports the last one (the makespan).
-pub type FinishHook = Box<dyn FnMut(usize, SimTime)>;
-
-/// Corruption-injection callback: sees `(from, to, msg)` just before
-/// delivery and returns `Some(replacement)` to tamper with the message.
-/// Timing and wire bytes were fixed at send time, so tampering only
-/// changes what the receiver gets — exactly the silent-corruption model
-/// the online auditor is built to catch.
-pub type TamperHook<M> = Box<dyn FnMut(usize, usize, &M) -> Option<M>>;
+/// Delivery hook: sees `(from, to, msg)` just before delivery and returns
+/// the message to deliver (the same one or a replacement), or `None` to
+/// drop it. Timing and wire bytes were fixed at send time, so a
+/// replacement changes only what the receiver gets — the silent-corruption
+/// model the online auditor is built to catch.
+type DeliveryHook<M> = Box<dyn FnMut(usize, usize, M) -> Option<M>>;
 
 /// The discrete-event simulator.
 pub struct Sim<B: Behavior> {
@@ -282,23 +239,15 @@ pub struct Sim<B: Behavior> {
     /// speed up) a single link without touching the rest of the network.
     link_overrides: HashMap<(usize, usize), LinkModel>,
     cost: CostModel,
-    /// Optional failure injection.
-    drop_hook: Option<DropHook<B::Msg>>,
-    /// Optional corruption injection.
-    tamper_hook: Option<TamperHook<B::Msg>>,
-    /// Optional delivery observer.
-    trace_hook: Option<TraceHook<B::Msg>>,
-    /// Optional per-finish observer.
-    finish_hook: Option<FinishHook>,
+    /// Optional message drop or replacement (see [`Sim::with_delivery_hook`]).
+    delivery_hook: Option<DeliveryHook<B::Msg>>,
     /// Optional structured-event tracer. With `None` every emission site
     /// is a single branch, so untraced runs behave exactly like the seed
-    /// simulator (bit-for-bit identical `SimStats` / `SimBreakdown`).
+    /// simulator (bit-for-bit identical `SimStats`).
     tracer: Option<Arc<dyn Tracer>>,
     /// Nodes that crash at a given simulated time: after it, they neither
     /// receive nor send, and their pending timers never fire.
     fail_at: HashMap<usize, SimTime>,
-    /// Whether to collect per-node / per-link breakdowns.
-    breakdown: bool,
     /// Safety valve against runaway protocols.
     max_events: u64,
 }
@@ -370,7 +319,6 @@ impl<M: Wire> Context<M> for DesCtx<M> {
 /// [`Sim::absorb_ctx`].
 struct RunState<M> {
     stats: SimStats,
-    breakdown: Option<SimBreakdown>,
     busy_until: Vec<SimTime>,
     /// Per directed link: when the link becomes free again. Transfers on
     /// one link serialize (and are therefore FIFO).
@@ -393,13 +341,9 @@ impl<B: Behavior> Sim<B> {
             link,
             link_overrides: HashMap::new(),
             cost,
-            drop_hook: None,
-            tamper_hook: None,
-            trace_hook: None,
-            finish_hook: None,
+            delivery_hook: None,
             tracer: None,
             fail_at: HashMap::new(),
-            breakdown: false,
             max_events: 100_000_000,
         }
     }
@@ -421,31 +365,6 @@ impl<B: Behavior> Sim<B> {
         self
     }
 
-    /// Enables per-node compute and per-link byte breakdowns in the
-    /// outcome (small constant overhead per event).
-    pub fn with_breakdown(mut self) -> Self {
-        self.breakdown = true;
-        self
-    }
-
-    /// Installs a delivery observer invoked (in delivery order) for every
-    /// message that reaches a node.
-    pub fn with_trace_hook(
-        mut self,
-        hook: impl FnMut(SimTime, usize, usize, &B::Msg) + 'static,
-    ) -> Self {
-        self.trace_hook = Some(Box::new(hook));
-        self
-    }
-
-    /// Installs a finish observer invoked as `(node, sim_time)` once per
-    /// [`Context::finish`] call, in execution order. Observation only:
-    /// it cannot change simulation results.
-    pub fn with_finish_hook(mut self, hook: impl FnMut(usize, SimTime) + 'static) -> Self {
-        self.finish_hook = Some(Box::new(hook));
-        self
-    }
-
     /// Crashes `node` at simulated time `at`: from then on it neither
     /// receives nor sends messages and its timers are cancelled. Models
     /// the peer failures the paper defers to future work.
@@ -454,26 +373,16 @@ impl<B: Behavior> Sim<B> {
         self
     }
 
-    /// Installs a failure-injection hook; it sees every message just before
-    /// delivery and returns `true` to drop it.
-    pub fn with_drop_hook(
+    /// Installs a delivery hook: it sees every message that survives the
+    /// crash schedule, just before delivery, and returns the message to
+    /// deliver or `None` to drop it. A replacement keeps the timing and
+    /// wire bytes fixed at send time, so it is invisible to every
+    /// performance metric — only a correctness audit can notice it.
+    pub fn with_delivery_hook(
         mut self,
-        hook: impl FnMut(usize, usize, &B::Msg) -> bool + 'static,
+        hook: impl FnMut(usize, usize, B::Msg) -> Option<B::Msg> + 'static,
     ) -> Self {
-        self.drop_hook = Some(Box::new(hook));
-        self
-    }
-
-    /// Installs a corruption-injection hook; it sees every surviving
-    /// message just before delivery and may return a replacement. Timing
-    /// and wire bytes are unchanged (they were fixed at send time), so the
-    /// tamper is invisible to every performance metric — only a
-    /// correctness audit can notice it.
-    pub fn with_tamper_hook(
-        mut self,
-        hook: impl FnMut(usize, usize, &B::Msg) -> Option<B::Msg> + 'static,
-    ) -> Self {
-        self.tamper_hook = Some(Box::new(hook));
+        self.delivery_hook = Some(Box::new(hook));
         self
     }
 
@@ -509,11 +418,6 @@ impl<B: Behavior> Sim<B> {
         }
         let mut rs = RunState {
             stats: SimStats::default(),
-            breakdown: self.breakdown.then(|| SimBreakdown {
-                compute_ns: vec![0; self.nodes.len()],
-                handled: vec![0; self.nodes.len()],
-                link_bytes: HashMap::new(),
-            }),
             busy_until: vec![0; self.nodes.len()],
             link_free: HashMap::new(),
             heap: BinaryHeap::new(),
@@ -545,34 +449,29 @@ impl<B: Behavior> Sim<B> {
             };
             let (from, msg_or_timer, cause) = match ev.payload {
                 Payload::Message { from, msg } => {
-                    let reason = if node_dead(from, ev.time, &self.fail_at) {
+                    let dead = if node_dead(from, ev.time, &self.fail_at) {
                         Some(DropReason::DeadSender)
                     } else if node_dead(ev.to, ev.time, &self.fail_at) {
                         Some(DropReason::DeadReceiver)
-                    } else if self.drop_hook.as_mut().is_some_and(|hook| hook(from, ev.to, &msg)) {
-                        Some(DropReason::Injected)
                     } else {
                         None
                     };
-                    if let Some(reason) = reason {
+                    let delivered = match (dead, self.delivery_hook.as_mut()) {
+                        (Some(_), _) => None,
+                        (None, Some(hook)) => hook(from, ev.to, msg),
+                        (None, None) => Some(msg),
+                    };
+                    let Some(msg) = delivered else {
                         rs.stats.dropped += 1;
                         if let Some(tr) = &self.tracer {
                             let (msg_seq, at, to) = (ev.seq, ev.time, ev.to);
+                            let reason = dead.unwrap_or(DropReason::Injected);
                             tr.record(TraceEvent::Drop { msg_seq, at, from, to, reason });
                         }
                         continue;
-                    }
-                    let tampered =
-                        self.tamper_hook.as_mut().and_then(|hook| hook(from, ev.to, &msg));
-                    let msg = tampered.unwrap_or(msg);
+                    };
                     rs.stats.messages += 1;
                     rs.stats.rounds = rs.stats.rounds.max(ev.depth);
-                    if let Some(b) = &mut rs.breakdown {
-                        b.handled[ev.to] += 1;
-                    }
-                    if let Some(hook) = &mut self.trace_hook {
-                        hook(ev.time, from, ev.to, &msg);
-                    }
                     if let Some(tr) = &self.tracer {
                         tr.record(TraceEvent::Deliver {
                             msg_seq: ev.seq,
@@ -612,7 +511,7 @@ impl<B: Behavior> Sim<B> {
         }
         rs.stats.finished_at =
             (rs.finishes_seen >= required_finishes).then_some(rs.finished.unwrap_or(0));
-        SimOutcome { nodes: self.nodes, stats: rs.stats, breakdown: rs.breakdown }
+        SimOutcome { nodes: self.nodes, stats: rs.stats }
     }
 
     /// Applies a handler's effects: service time, outgoing messages (with
@@ -631,9 +530,6 @@ impl<B: Behavior> Sim<B> {
         skypeer_obs::scope!("des::absorb");
         let service = self.cost.service_ns(&ctx.work);
         rs.stats.compute_ns_total += service;
-        if let Some(b) = rs.breakdown.as_mut() {
-            b.compute_ns[node] += service;
-        }
         let begin = ctx.now;
         let end = begin + service;
         rs.busy_until[node] = end;
@@ -641,11 +537,6 @@ impl<B: Behavior> Sim<B> {
         if ctx.finish > 0 {
             rs.finishes_seen += ctx.finish;
             rs.finished = Some(rs.finished.map_or(end, |f| f.max(end)));
-            if let Some(hook) = &mut self.finish_hook {
-                for _ in 0..ctx.finish {
-                    hook(node, end);
-                }
-            }
         }
         let span = rs.next_span;
         rs.next_span += 1;
@@ -667,9 +558,6 @@ impl<B: Behavior> Sim<B> {
         for (to, msg) in ctx.outbox {
             let bytes = msg.wire_bytes();
             rs.stats.bytes += bytes;
-            if let Some(b) = rs.breakdown.as_mut() {
-                *b.link_bytes.entry((node, to)).or_insert(0) += bytes;
-            }
             let free = rs.link_free.entry((node, to)).or_insert(0);
             let xfer_start = end.max(*free);
             let model = self.link_overrides.get(&(node, to)).unwrap_or(&self.link);
@@ -827,26 +715,9 @@ mod unit {
     }
 
     #[test]
-    fn finish_hook_sees_every_finish_with_its_time() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let finishes: Rc<RefCell<Vec<(usize, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&finishes);
-        let link = LinkModel { latency_ns: 0, ns_per_byte: 10 };
-        let cost = CostModel::Analytic { base_ns: 0, per_test_ns: 0, per_point_ns: 0 };
-        let out = Sim::new(ring(3, 3), link, cost)
-            .with_finish_hook(move |node, at| sink.borrow_mut().push((node, at)))
-            .run(0);
-        // One finish, at the node 3 hops around the ring, at the same time
-        // the stats report.
-        assert_eq!(*finishes.borrow(), vec![(0, 3000)]);
-        assert_eq!(out.stats.finished_at, Some(3000));
-    }
-
-    #[test]
-    fn drop_hook_loses_messages() {
+    fn delivery_hook_drops_messages() {
         let sim = Sim::new(ring(4, 8), LinkModel::zero_delay(), CostModel::default())
-            .with_drop_hook(|_, to, _| to == 2); // node 2 never hears anything
+            .with_delivery_hook(|_, to, msg| (to != 2).then_some(msg)); // node 2 never hears anything
         let out = sim.run(0);
         assert!(out.stats.finished_at.is_none(), "the ring is broken, no completion");
         assert_eq!(out.stats.dropped, 1);
@@ -854,19 +725,19 @@ mod unit {
     }
 
     #[test]
-    fn tamper_hook_rewrites_payload_without_touching_metrics() {
+    fn delivery_hook_rewrites_payload_without_touching_metrics() {
         let clean = Sim::new(ring(4, 6), LinkModel::paper_4kbps(), CostModel::default()).run(0);
         // Rewind the hop counter once (on the second delivery, where it is
         // 1): the ring silently repeats a hop and needs one extra message
         // to reach `hops` — delivered, not dropped.
         let mut tampered = false;
         let out = Sim::new(ring(4, 6), LinkModel::paper_4kbps(), CostModel::default())
-            .with_tamper_hook(move |_, _, msg| {
+            .with_delivery_hook(move |_, _, msg| {
                 if tampered || msg.tag != 1 {
-                    return None;
+                    return Some(msg);
                 }
                 tampered = true;
-                Some(TestMsg { tag: 0, ..*msg })
+                Some(TestMsg { tag: 0, ..msg })
             })
             .run(0);
         assert!(out.stats.finished_at.is_some());
@@ -875,10 +746,10 @@ mod unit {
     }
 
     #[test]
-    fn tamper_hook_returning_none_changes_nothing() {
+    fn delivery_hook_passing_messages_through_changes_nothing() {
         let clean = Sim::new(ring(5, 20), LinkModel::paper_4kbps(), CostModel::default()).run(2);
         let hooked = Sim::new(ring(5, 20), LinkModel::paper_4kbps(), CostModel::default())
-            .with_tamper_hook(|_, _, _| None)
+            .with_delivery_hook(|_, _, msg| Some(msg))
             .run(2);
         assert_eq!(clean.stats, hooked.stats);
     }
@@ -1148,78 +1019,6 @@ mod unit {
 }
 
 #[cfg(test)]
-mod breakdown_tests {
-    use super::test_msg::TestMsg;
-    use super::*;
-
-    struct Fan {
-        n: usize,
-    }
-    impl Behavior for Fan {
-        type Msg = TestMsg;
-        fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
-            for to in 1..self.n {
-                ctx.send(to, TestMsg { tag: 0, len: 100 * to as u64 });
-            }
-        }
-        fn on_message(&mut self, _f: usize, _m: TestMsg, ctx: &mut dyn Context<TestMsg>) {
-            ctx.report_work(WorkReport {
-                dominance_tests: 10 * ctx.node_id() as u64,
-                points_scanned: 0,
-                measured: None,
-            });
-            if ctx.node_id() == 3 {
-                ctx.finish();
-            }
-        }
-    }
-
-    #[test]
-    fn breakdown_tracks_nodes_and_links() {
-        let cost = CostModel::Analytic { base_ns: 0, per_test_ns: 1, per_point_ns: 0 };
-        let nodes: Vec<Fan> = (0..4).map(|_| Fan { n: 4 }).collect();
-        let out = Sim::new(nodes, LinkModel::zero_delay(), cost).with_breakdown().run(0);
-        let b = out.breakdown.expect("breakdown enabled");
-        assert_eq!(b.compute_ns[1], 10);
-        assert_eq!(b.compute_ns[2], 20);
-        assert_eq!(b.compute_ns[3], 30);
-        assert_eq!(b.hottest_node(), Some((3, 30)));
-        assert_eq!(b.link_bytes[&(0, 2)], 200);
-        assert_eq!(b.hottest_link(), Some(((0, 3), 300)));
-        assert_eq!(b.handled[1] + b.handled[2] + b.handled[3], out.stats.messages);
-    }
-
-    #[test]
-    fn breakdown_off_by_default() {
-        let nodes: Vec<Fan> = (0..4).map(|_| Fan { n: 4 }).collect();
-        let out = Sim::new(nodes, LinkModel::zero_delay(), CostModel::default()).run(0);
-        assert!(out.breakdown.is_none());
-    }
-
-    #[test]
-    fn hottest_node_breaks_ties_by_smallest_id() {
-        let b = SimBreakdown {
-            compute_ns: vec![5, 9, 9, 9, 2],
-            handled: vec![0; 5],
-            link_bytes: HashMap::new(),
-        };
-        assert_eq!(b.hottest_node(), Some((1, 9)));
-    }
-
-    #[test]
-    fn hottest_link_breaks_ties_lexicographically() {
-        // All-equal weights: the answer must not depend on HashMap
-        // iteration order.
-        let mut link_bytes = HashMap::new();
-        for l in [(3, 1), (0, 2), (2, 0), (0, 1)] {
-            link_bytes.insert(l, 700u64);
-        }
-        let b = SimBreakdown { compute_ns: vec![], handled: vec![], link_bytes };
-        assert_eq!(b.hottest_link(), Some(((0, 1), 700)));
-    }
-}
-
-#[cfg(test)]
 mod tracer_tests {
     use super::test_msg::TestMsg;
     use super::*;
@@ -1355,7 +1154,7 @@ mod tracer_tests {
     fn dropped_messages_are_traced_with_reason() {
         let tracer = Arc::new(MemTracer::new());
         let out = Sim::new(relay(4, 8), LinkModel::zero_delay(), CostModel::default())
-            .with_drop_hook(|_, to, _| to == 2)
+            .with_delivery_hook(|_, to, msg| (to != 2).then_some(msg))
             .with_tracer(tracer.clone())
             .run(0);
         assert_eq!(out.stats.dropped, 1);
@@ -1368,5 +1167,66 @@ mod tracer_tests {
             })
             .collect();
         assert_eq!(drops, vec![(2, DropReason::Injected)]);
+    }
+
+    /// Sends `100 · to` bytes to every other node at start; node `i`
+    /// reports `10 · i` dominance tests per message, and node 3 finishes.
+    struct Fan {
+        n: usize,
+    }
+    impl Behavior for Fan {
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut dyn Context<TestMsg>) {
+            for to in 1..self.n {
+                ctx.send(to, TestMsg { tag: 0, len: 100 * to as u64 });
+            }
+        }
+        fn on_message(&mut self, _f: usize, _m: TestMsg, ctx: &mut dyn Context<TestMsg>) {
+            ctx.report_work(WorkReport {
+                dominance_tests: 10 * ctx.node_id() as u64,
+                points_scanned: 0,
+                measured: None,
+            });
+            if ctx.node_id() == 3 {
+                ctx.finish();
+            }
+        }
+    }
+
+    #[test]
+    fn trace_carries_per_node_and_per_link_breakdowns() {
+        use skypeer_obs::MetricsRegistry;
+        let cost = CostModel::Analytic { base_ns: 0, per_test_ns: 1, per_point_ns: 0 };
+        let nodes: Vec<Fan> = (0..4).map(|_| Fan { n: 4 }).collect();
+        let tracer = Arc::new(MemTracer::new());
+        let out = Sim::new(nodes, LinkModel::zero_delay(), cost).with_tracer(tracer.clone()).run(0);
+        let m = MetricsRegistry::from_events(&tracer.take());
+        let service = |node: usize| m.per_node[node].service_ns;
+        assert_eq!((service(1), service(2), service(3)), (10, 20, 30));
+        assert_eq!(m.hottest_node(), Some((3, 30)));
+        assert_eq!(m.link_bytes[&(0, 2)], 200);
+        assert_eq!(m.hottest_link(), Some(((0, 3), 300)));
+        let handled: u64 = m.per_node.iter().map(|n| n.msgs_in).sum();
+        assert_eq!(handled, out.stats.messages);
+    }
+
+    #[test]
+    fn finish_events_carry_every_finish_with_its_time() {
+        let link = LinkModel { latency_ns: 0, ns_per_byte: 10 };
+        let cost = CostModel::Analytic { base_ns: 0, per_test_ns: 0, per_point_ns: 0 };
+        let tracer = Arc::new(MemTracer::new());
+        let out = Sim::new(relay(3, 3), link, cost).with_tracer(tracer.clone()).run(0);
+        let finishes: Vec<(usize, SimTime)> = tracer
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Finish { node, at, .. } => Some((node, at)),
+                _ => None,
+            })
+            .collect();
+        // One finish, at the node 3 hops around the ring, at the same time
+        // the stats report.
+        assert_eq!(finishes, vec![(0, 3000)]);
+        assert_eq!(out.stats.finished_at, Some(3000));
     }
 }

@@ -44,7 +44,7 @@ pub mod topology;
 pub use skypeer_obs as obs;
 
 pub use cost::CostModel;
-pub use des::{Behavior, Context, LinkModel, Sim, SimBreakdown, SimStats, SimTime, Wire};
+pub use des::{Behavior, Context, LinkModel, Sim, SimStats, SimTime, Wire};
 pub use topology::{Topology, TopologyModel, TopologySpec};
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub struct LiveOutcome<B> {
     /// Wall-clock nanoseconds since run start of each observed
     /// [`Context::finish`] call, in signal-arrival order (one entry per
     /// required finish; late finishes racing shutdown are not waited
-    /// for). The live analogue of the DES finish hook.
+    /// for). The live analogue of the DES's `Finish` trace events.
     pub finish_times: Vec<SimTime>,
 }
 

@@ -96,8 +96,11 @@ fn main() {
             u,
             0,
             Variant::Ftpm,
+            Dominance::Standard,
             DominanceIndex::RTree,
             Duration::from_secs(30),
+            None,
+            None,
         )
         .expect("query completes");
         println!("» {label}  (minimize {attrs:?})");

@@ -16,7 +16,7 @@
 //! flush tick into FILE — replay it with `skypeer-cli top --replay FILE`.
 
 use skypeer::core::engine::SkypeerEngine;
-use skypeer::core::live::run_query_live_traced;
+use skypeer::core::live::run_query_live;
 use skypeer::core::EngineConfig;
 use skypeer::obs::{MemTracer, Sampler, Tracer};
 use skypeer::prelude::*;
@@ -77,12 +77,13 @@ fn main() {
 
     for (i, q) in workload.iter().enumerate() {
         let des = engine.run_query(*q, Variant::Rtpm);
-        let live = run_query_live_traced(
+        let live = run_query_live(
             engine.topology(),
             &stores,
             q.subspace,
             q.initiator,
             Variant::Rtpm,
+            Dominance::Standard,
             config.index,
             Duration::from_secs(30),
             tracer.clone().map(|t| t as Arc<dyn Tracer>),

@@ -42,9 +42,13 @@ fn main() {
             "variant", "comp (ms)", "total (ms)", "vol (KB)", "msgs"
         );
 
+        let metrics = |variant| {
+            let outcomes: Vec<_> = workload.iter().map(|q| engine.run_query(*q, variant)).collect();
+            QueryMetrics::from_outcomes(&outcomes)
+        };
         let mut naive_total = f64::NAN;
         for variant in Variant::ALL {
-            let m = QueryMetrics::from_outcomes(&engine.run_workload(&workload, variant));
+            let m = metrics(variant);
             if variant == Variant::Naive {
                 naive_total = m.avg_total_time_ns;
             }
@@ -58,7 +62,7 @@ fn main() {
             );
         }
         for variant in Variant::SKYPEER {
-            let m = QueryMetrics::from_outcomes(&engine.run_workload(&workload, variant));
+            let m = metrics(variant);
             println!(
                 "  speed-up of {} over naive (total time): {:.1}x",
                 variant.mnemonic(),

@@ -113,7 +113,7 @@ fn lost_answer_stalls_the_query_as_documented() {
     let stores = line_stores(3);
     let nodes = make_nodes(&topo, &stores, 0, Variant::Ftpm);
     let out = Sim::new(nodes, LinkModel::zero_delay(), CostModel::default())
-        .with_drop_hook(|from, to, _| from == 2 && to == 1) // sever 2 → 1 answers
+        .with_delivery_hook(|from, to, msg| (from != 2 || to != 1).then_some(msg)) // sever 2 → 1
         .run(0);
     assert!(out.stats.finished_at.is_none(), "query must not complete with a lost subtree");
     assert!(out.stats.dropped > 0);
@@ -125,7 +125,7 @@ fn lost_query_forward_also_stalls() {
     let stores = line_stores(3);
     let nodes = make_nodes(&topo, &stores, 0, Variant::Rtfm);
     let out = Sim::new(nodes, LinkModel::zero_delay(), CostModel::default())
-        .with_drop_hook(|from, to, _| from == 1 && to == 2)
+        .with_delivery_hook(|from, to, msg| (from != 1 || to != 2).then_some(msg))
         .run(0);
     assert!(out.stats.finished_at.is_none());
 }
@@ -154,7 +154,7 @@ fn unaffected_links_still_deliver_exact_results() {
     };
     let nodes = make_nodes(&topo, &stores, 0, Variant::Ftfm);
     let out = Sim::new(nodes, LinkModel::zero_delay(), CostModel::default())
-        .with_drop_hook(|from, to, _| from == 2 && to == 3) // link not even in the topology
+        .with_delivery_hook(|from, to, msg| (from != 2 || to != 3).then_some(msg)) // not a link
         .run(0);
     assert!(out.stats.finished_at.is_some());
     let mut ids: Vec<u64> = {

@@ -2,14 +2,14 @@
 //! the DES and the live runtime → verify exactness against the raw data.
 
 use skypeer::core::engine::{EngineConfig, SkypeerEngine};
-use skypeer::core::live::{run_query_live, run_query_live_ext};
+use skypeer::core::live::run_query_live;
 use skypeer::core::verify::{exact_skyline_ids, global_dataset};
-use skypeer::core::Variant;
+use skypeer::core::{QueryRequest, Variant};
 use skypeer::data::{DatasetKind, DatasetSpec, Query, WorkloadSpec};
 use skypeer::netsim::cost::CostModel;
 use skypeer::netsim::des::LinkModel;
 use skypeer::netsim::topology::TopologySpec;
-use skypeer::skyline::{DominanceIndex, Subspace};
+use skypeer::skyline::{Dominance, DominanceIndex, Subspace};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -94,13 +94,17 @@ fn des_and_live_agree_for_every_variant() {
         let q = Query { subspace: Subspace::from_dims(dims), initiator };
         for variant in Variant::ALL {
             let (topo, index) = (engine.topology(), cfg.index);
-            let live =
-                run_query_live(topo, &stores, q.subspace, initiator, variant, index, timeout);
-            let live_ext =
-                run_query_live_ext(topo, &stores, q.subspace, initiator, variant, index, timeout);
+            let live = |flavour| {
+                let u = q.subspace;
+                run_query_live(
+                    topo, &stores, u, initiator, variant, flavour, index, timeout, None, None,
+                )
+            };
+            let ext =
+                QueryRequest { flavour: Dominance::Extended, ..QueryRequest::new(q, variant) };
             for (flavour, des, live) in [
-                ("standard", engine.run_query(q, variant), live),
-                ("extended", engine.run_query_ext_observed(q, variant, None), live_ext),
+                ("standard", engine.run_query(q, variant), live(Dominance::Standard)),
+                ("extended", engine.execute(&ext, None), live(Dominance::Extended)),
             ] {
                 let live = live.unwrap_or_else(|| panic!("live {flavour} {variant} {q:?} hung"));
                 assert!(des.complete && live.complete, "{flavour} {variant} {q:?}");

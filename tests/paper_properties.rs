@@ -66,7 +66,10 @@ fn evaluation_orderings_hold_on_uniform_data() {
         seed: 4,
     }
     .generate();
-    let metric = |v: Variant| QueryMetrics::from_outcomes(&engine.run_workload(&workload, v));
+    let metric = |v: Variant| {
+        let outcomes: Vec<_> = workload.iter().map(|q| engine.run_query(*q, v)).collect();
+        QueryMetrics::from_outcomes(&outcomes)
+    };
     let naive = metric(Variant::Naive);
     let ftfm = metric(Variant::Ftfm);
     let ftpm = metric(Variant::Ftpm);

@@ -1,10 +1,9 @@
 //! Randomized whole-system stress: networks of varying shape, skewed data
-//! placement, auto index planning, and long mixed scenarios — everything
+//! placement, both dominance indexes, and long mixed scenarios — everything
 //! must stay exact.
 
 use skypeer::core::engine::{EngineConfig, SkypeerEngine};
 use skypeer::core::node::{InitQuery, SuperPeerNode};
-use skypeer::core::planner::IndexPolicy;
 use skypeer::core::preprocess::SuperPeerStore;
 use skypeer::core::Variant;
 use skypeer::data::{DatasetKind, DatasetSpec, WorkloadSpec};
@@ -15,7 +14,7 @@ use skypeer::skyline::{brute, Dominance, DominanceIndex, PointSet, Subspace};
 use std::sync::Arc;
 
 /// Skewed placement: even with 80% of the data on one super-peer, every
-/// variant stays exact.
+/// variant stays exact under either dominance index.
 #[test]
 fn skewed_data_placement_stays_exact() {
     let n_sp = 6;
@@ -35,33 +34,31 @@ fn skewed_data_placement_stays_exact() {
         .collect();
     let u = Subspace::from_dims(&[0, 2]);
     let want = brute::skyline_ids(&all, u, Dominance::Standard);
-    for variant in Variant::ALL {
-        let nodes: Vec<SuperPeerNode> = (0..n_sp)
-            .map(|sp| {
-                let init = (sp == 1).then_some(InitQuery::standard(1, u, variant));
-                SuperPeerNode::new(
-                    sp,
-                    topo.neighbors(sp).to_vec(),
-                    Arc::clone(&stores[sp]),
-                    DominanceIndex::Linear,
-                    init,
-                )
-                .with_index_policy(IndexPolicy::Auto)
-            })
-            .collect();
-        let out = Sim::new(nodes, LinkModel::paper_4kbps(), CostModel::default()).run(1);
-        let answer = out.nodes.into_iter().nth(1).expect("initiator").into_outcome().expect("done");
-        let mut got: Vec<u64> =
-            (0..answer.result.len()).map(|i| answer.result.points().id(i)).collect();
-        got.sort_unstable();
-        assert_eq!(got, want, "{variant} on skewed placement");
+    for index in [DominanceIndex::Linear, DominanceIndex::RTree] {
+        for variant in Variant::ALL {
+            let nodes: Vec<SuperPeerNode> = (0..n_sp)
+                .map(|sp| {
+                    let init = (sp == 1).then_some(InitQuery::standard(1, u, variant));
+                    let store = Arc::clone(&stores[sp]);
+                    SuperPeerNode::new(sp, topo.neighbors(sp).to_vec(), store, index, init)
+                })
+                .collect();
+            let out = Sim::new(nodes, LinkModel::paper_4kbps(), CostModel::default()).run(1);
+            let answer =
+                out.nodes.into_iter().nth(1).expect("initiator").into_outcome().expect("done");
+            let mut got: Vec<u64> =
+                (0..answer.result.len()).map(|i| answer.result.points().id(i)).collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "{variant} on skewed placement, {index:?} index");
+        }
     }
 }
 
-/// Auto index policy end-to-end: answers identical to both fixed
-/// policies across a workload.
+/// The dominance index is a performance choice only: node-level runs
+/// under either index answer exactly what the engine does, across a
+/// workload.
 #[test]
-fn auto_index_policy_is_transparent() {
+fn index_choice_is_transparent() {
     let n_superpeers = 6;
     let cfg = EngineConfig {
         n_peers: 24,
@@ -74,39 +71,41 @@ fn auto_index_policy_is_transparent() {
         routing: skypeer_core::engine::RoutingMode::Flood,
     };
     let engine = SkypeerEngine::build(cfg);
-    // Drive the policy directly at node level over the engine's stores.
+    // Drive each index directly at node level over the engine's stores.
     let workload = WorkloadSpec { dim: 6, k: 3, queries: 5, n_superpeers, seed: 7 }.generate();
     for q in &workload {
         let fixed = engine.run_query(*q, Variant::Ftpm);
-        let nodes: Vec<SuperPeerNode> = (0..n_superpeers)
-            .map(|sp| {
-                let init = (sp == q.initiator).then_some(InitQuery::standard(
-                    77,
-                    q.subspace,
-                    Variant::Ftpm,
-                ));
-                SuperPeerNode::new(
-                    sp,
-                    engine.topology().neighbors(sp).to_vec(),
-                    Arc::new(engine.store(sp).clone()),
-                    DominanceIndex::RTree,
-                    init,
-                )
-                .with_index_policy(IndexPolicy::Auto)
-            })
-            .collect();
-        let out = Sim::new(nodes, LinkModel::paper_4kbps(), CostModel::default()).run(q.initiator);
-        let answer = out
-            .nodes
-            .into_iter()
-            .nth(q.initiator)
-            .expect("initiator")
-            .into_outcome()
-            .expect("done");
-        let mut got: Vec<u64> =
-            (0..answer.result.len()).map(|i| answer.result.points().id(i)).collect();
-        got.sort_unstable();
-        assert_eq!(got, fixed.result_ids, "auto policy changed the answer for {q:?}");
+        for index in [DominanceIndex::Linear, DominanceIndex::RTree] {
+            let nodes: Vec<SuperPeerNode> = (0..n_superpeers)
+                .map(|sp| {
+                    let init = (sp == q.initiator).then_some(InitQuery::standard(
+                        77,
+                        q.subspace,
+                        Variant::Ftpm,
+                    ));
+                    SuperPeerNode::new(
+                        sp,
+                        engine.topology().neighbors(sp).to_vec(),
+                        Arc::new(engine.store(sp).clone()),
+                        index,
+                        init,
+                    )
+                })
+                .collect();
+            let out =
+                Sim::new(nodes, LinkModel::paper_4kbps(), CostModel::default()).run(q.initiator);
+            let answer = out
+                .nodes
+                .into_iter()
+                .nth(q.initiator)
+                .expect("initiator")
+                .into_outcome()
+                .expect("done");
+            let mut got: Vec<u64> =
+                (0..answer.result.len()).map(|i| answer.result.points().id(i)).collect();
+            got.sort_unstable();
+            assert_eq!(got, fixed.result_ids, "{index:?} index changed the answer for {q:?}");
+        }
     }
 }
 
